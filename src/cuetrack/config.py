@@ -170,8 +170,7 @@ class RunConfig:
         return TrackerConfig(
             match_score_thr=float(t["match_score_thr"]),
             memo_length_s=float(t["memo_length_s"]),
-            sinkhorn_iters=int(t["sinkhorn_iters"]),
-            fps=float(self.data["scene"]["fps"]))
+            sinkhorn_iters=int(t["sinkhorn_iters"]))
 
 
 def _merge_checked(base: dict, update: dict, path: str = "") -> None:

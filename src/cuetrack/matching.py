@@ -50,30 +50,65 @@ def sinkhorn_log(logits: Tensor, marginals_row: np.ndarray,
     """Log-domain Sinkhorn over augmented logits; returns the log-plan.
 
     Alternates row and column scaling against log-marginals for exactly
-    ``iters`` sweeps, all through differentiable primitives.
+    ``iters`` sweeps. The whole loop is one tape node: the forward pass
+    keeps only the per-sweep scaling vectors, and the backward pass
+    replays the sweeps in reverse, giving the gradient of the unrolled
+    row/column log-sum-exp chain with the same arithmetic.
     """
     if iters < 1:
         raise MatchingError("iters must be >= 1")
     mu = np.asarray(marginals_row, dtype=np.float64)
     nu = np.asarray(marginals_col, dtype=np.float64)
+    for side, marg in (("row", mu), ("column", nu)):
+        if not np.all(np.isfinite(marg)) or not np.all(marg > 0):
+            raise MatchingError(f"{side} marginals must be finite and positive")
     if not np.isclose(mu.sum(), nu.sum(), rtol=0, atol=1e-9):
         raise MatchingError(
             f"marginal mass mismatch: rows {mu.sum()} vs cols {nu.sum()}")
     if logits.data.shape != (mu.size, nu.size):
         raise MatchingError("logits shape does not match marginals")
-    log_mu = ad.constant(np.log(mu).reshape(-1, 1))
-    log_nu = ad.constant(np.log(nu).reshape(1, -1))
-    u = ad.constant(np.zeros((mu.size, 1)))
-    v = ad.constant(np.zeros((1, nu.size)))
+    L = logits.data
+    log_mu = np.log(mu).reshape(-1, 1)
+    log_nu = np.log(nu).reshape(1, -1)
+    # vs[k] is the column scaling entering sweep k; rs/us/cs are the row
+    # log-sum-exp, row scaling and column log-sum-exp sweep k produced
+    vs = [np.zeros((1, nu.size))]
+    rs, us, cs = [], [], []
     for _ in range(iters):
-        u = log_mu - ad.logsumexp_rows(ad.add(logits, v))
-        v = log_nu - ad.logsumexp_cols(ad.add(logits, u))
-    return ad.add(ad.add(logits, u), v)
+        a = L + vs[-1]
+        m = a.max(axis=1, keepdims=True)
+        r = m + np.log(np.exp(a - m).sum(axis=1, keepdims=True))
+        u = log_mu + r * -1.0
+        b = L + u
+        m = b.max(axis=0, keepdims=True)
+        c = m + np.log(np.exp(b - m).sum(axis=0, keepdims=True))
+        rs.append(r)
+        us.append(u)
+        cs.append(c)
+        vs.append(log_nu + c * -1.0)
+
+    def backward(g):
+        gL = g
+        gu = g.sum(axis=1, keepdims=True)
+        gv = g.sum(axis=0, keepdims=True)
+        for k in reversed(range(iters)):
+            gb = (gv * -1.0) * np.exp((L + us[k]) - cs[k])
+            gL = gL + gb
+            gb_rows = gb.sum(axis=1, keepdims=True)
+            # only the last sweep's u also feeds the output directly
+            gu = gu + gb_rows if k == iters - 1 else gb_rows
+            ga = (gu * -1.0) * np.exp((L + vs[k]) - rs[k])
+            gL = gL + ga
+            gv = ga.sum(axis=0, keepdims=True)
+        logits._accumulate(gL)
+
+    return Tensor((L + us[-1]) + vs[-1], parents=(logits,), backward=backward,
+                  name="sinkhorn_log")
 
 
 def sinkhorn(logits_aug: np.ndarray, marginals_row: np.ndarray,
              marginals_col: np.ndarray, iters: int = 100) -> TransportPlan:
-    """Non-differentiable convenience wrapper returning the plan values."""
+    """Plan values of the ``sinkhorn_log`` node over constant logits."""
     log_plan = sinkhorn_log(ad.constant(logits_aug), marginals_row,
                             marginals_col, iters)
     return TransportPlan(values=np.exp(log_plan.data),

@@ -115,21 +115,6 @@ class AssocModel:
             if self.cfg.use_appearance else zero
         return heads.fuse(e_sem, e_loc, e_app)
 
-    def embed_cues_np(self, dets: list[Detection], image_h: float,
-                      image_w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Plain-array per-cue embeddings (for tracklet memory storage)."""
-        leaves = self.store.leaves()
-        sem_in, loc_in, app_in = self.cue_inputs(dets, image_h, image_w)
-        n, d = len(dets), self.cfg.descriptor_dim
-        zeros = np.zeros((n, d))
-        e_sem = heads.head_forward(self.sem_spec, leaves, ad.constant(sem_in)).data \
-            if self.cfg.use_semantic else zeros
-        e_loc = heads.head_forward(self.loc_spec, leaves, ad.constant(loc_in)).data \
-            if self.cfg.use_location else zeros
-        e_app = heads.head_forward(self.app_spec, leaves, ad.constant(app_in)).data \
-            if self.cfg.use_appearance else zeros
-        return e_sem, e_loc, e_app
-
     # -- pair forward -------------------------------------------------------
 
     def pair_log_plan(self, key_fused: Tensor, ref_fused: Tensor,

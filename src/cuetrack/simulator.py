@@ -267,8 +267,9 @@ def write_sequence(frames: list[FrameSample], path: str) -> None:
             rec = {
                 "frame": fr.frame_id,
                 "time_s": fr.time_s,
-                "gt": [{"id": tid, "box": box.as_list(), "class": cid}
-                       for tid, box, cid in (fr.gt or [])],
+                "gt": None if fr.gt is None else
+                      [{"id": tid, "box": box.as_list(), "class": cid}
+                       for tid, box, cid in fr.gt],
                 "detections": [{
                     "box": d.box.as_list(),
                     "score": d.score,
@@ -287,8 +288,9 @@ def read_sequence(path: str) -> list[FrameSample]:
             if not line.strip():
                 continue
             rec = json.loads(line)
-            gt = [(g["id"], Box(*g["box"]), g.get("class", -1))
-                  for g in rec.get("gt", [])]
+            gt = rec.get("gt")
+            if gt is not None:
+                gt = [(g["id"], Box(*g["box"]), g.get("class", -1)) for g in gt]
             dets = [Detection(Box(*d["box"]), float(d["score"]),
                               np.asarray(d["semantic_vec"], dtype=np.float64),
                               np.asarray(d["appearance_vec"], dtype=np.float64),
@@ -296,7 +298,7 @@ def read_sequence(path: str) -> list[FrameSample]:
                     for d in rec.get("detections", [])]
             frames.append(FrameSample(frame_id=int(rec["frame"]),
                                       time_s=float(rec["time_s"]),
-                                      detections=dets, gt=gt or None))
+                                      detections=dets, gt=gt))
     return frames
 
 

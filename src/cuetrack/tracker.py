@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import heads, matching, stog
 from .geometry import Box
 from .model import AssocModel
 from .simulator import Detection
@@ -25,7 +24,6 @@ class TrackerConfig:
     match_score_thr: float = 0.2
     memo_length_s: float = 10.0
     sinkhorn_iters: int = 100
-    fps: float = 2.0
 
     def __post_init__(self):
         if not 0 < self.match_score_thr < 1:
@@ -37,14 +35,8 @@ class TrackerConfig:
 @dataclass
 class Tracklet:
     track_id: int
-    last_frame_id: int
     last_time_s: float
-    box: Box
-    e_sem: np.ndarray
-    e_loc: np.ndarray
-    e_app: np.ndarray
-    score: float
-    class_id: int = -1
+    fused: np.ndarray   # fused descriptor of the last detection assigned
 
 
 def dynamic_threshold(num_classes: int) -> float:
@@ -61,35 +53,38 @@ def dynamic_threshold(num_classes: int) -> float:
 
 def match_frame(detections: list[Detection], memory: list[Tracklet],
                 asm: AssocModel, cfg: TrackerConfig, next_id: int,
-                image_h: float, image_w: float) -> tuple[list[int], int]:
+                image_h: float, image_w: float,
+                key_fused: np.ndarray | None = None,
+                leaves: dict[str, ad.Tensor] | None = None) -> tuple[list[int], int]:
     """Assign a tracklet id (existing or fresh) to each detection.
 
     Detections embed as the key frame and memory as the reference frame;
     the dustbin-augmented transport plan is resolved greedily in
-    descending probability with the matching threshold.
+    descending probability with the matching threshold. ``key_fused``
+    (the detections' fused descriptors) and ``leaves`` are computed here
+    when not given.
     """
     if not detections:
         return [], next_id
     if not memory:
         ids = list(range(next_id, next_id + len(detections)))
         return ids, next_id + len(detections)
-    leaves = asm.store.leaves()
-    key_fused = asm.embed(detections, image_h, image_w, leaves)
-    mem_sem = np.stack([t.e_sem for t in memory])
-    mem_loc = np.stack([t.e_loc for t in memory])
-    mem_app = np.stack([t.e_app for t in memory])
-    ref_fused = ad.constant(mem_sem + mem_loc + mem_app)
-    log_plan = asm.pair_log_plan(key_fused, ref_fused, leaves,
-                                 sinkhorn_iters=cfg.sinkhorn_iters)
+    if leaves is None:
+        leaves = asm.store.leaves()
+    if key_fused is None:
+        key_fused = asm.embed(detections, image_h, image_w, leaves).data
+    ref_fused = np.stack([t.fused for t in memory])
+    log_plan = asm.pair_log_plan(ad.constant(key_fused), ad.constant(ref_fused),
+                                 leaves, sinkhorn_iters=cfg.sinkhorn_iters)
     plan = np.exp(log_plan.data)[:-1, :-1]  # real detections x real tracklets
     m, n = plan.shape
-    order = sorted(((i, j) for i in range(m) for j in range(n)),
-                   key=lambda ij: (-plan[ij], ij[0], ij[1]))
+    # descending probability, ties in (row, column) order: a stable sort
+    # of the row-major flattening; only cells at or above the threshold
+    order = np.argsort(-plan, axis=None, kind="stable")
+    order = order[:np.count_nonzero(plan >= cfg.match_score_thr)]
     assigned: dict[int, int] = {}
     claimed: set[int] = set()
-    for i, j in order:
-        if plan[i, j] < cfg.match_score_thr:
-            break
+    for i, j in zip(*(x.tolist() for x in np.divmod(order, n))):
         if i in assigned or j in claimed:
             continue
         assigned[i] = memory[j].track_id
@@ -107,26 +102,28 @@ def match_frame(detections: list[Detection], memory: list[Tracklet],
 def update_memo(memory: list[Tracklet], ids: list[int],
                 detections: list[Detection], frame_id: int, time_s: float,
                 asm: AssocModel, cfg: TrackerConfig,
-                image_h: float, image_w: float) -> list[Tracklet]:
-    """Refresh matched tracklets, append new ones, expire stale ones."""
+                image_h: float, image_w: float,
+                fused: np.ndarray | None = None) -> list[Tracklet]:
+    """Refresh matched tracklets, append new ones, expire stale ones.
+
+    ``fused`` holds the detections' fused descriptors and is computed
+    here when not given. ``frame_id`` is not stored; memory ages by
+    ``time_s`` alone.
+    """
     if len(set(ids)) != len(ids):
         raise TrackerError("duplicate id in frame assignments")
     by_id = {t.track_id: t for t in memory}
     if detections:
-        e_sem, e_loc, e_app = asm.embed_cues_np(detections, image_h, image_w)
-        for i, (tid, det) in enumerate(zip(ids, detections)):
+        if fused is None:
+            fused = asm.embed(detections, image_h, image_w,
+                              asm.store.leaves()).data
+        for tid, row in zip(ids, fused):
             t = by_id.get(tid)
             if t is None:
-                by_id[tid] = Tracklet(tid, frame_id, time_s, det.box,
-                                      e_sem[i], e_loc[i], e_app[i],
-                                      det.score, det.class_id)
+                by_id[tid] = Tracklet(tid, time_s, row)
             else:
-                t.last_frame_id = frame_id
                 t.last_time_s = time_s
-                t.box = det.box
-                t.e_sem, t.e_loc, t.e_app = e_sem[i], e_loc[i], e_app[i]
-                t.score = det.score
-                t.class_id = det.class_id
+                t.fused = row
     return [t for t in sorted(by_id.values(), key=lambda t: t.track_id)
             if time_s - t.last_time_s <= cfg.memo_length_s]
 
@@ -135,19 +132,23 @@ def track_sequence(frames: list[tuple[float, list[Detection]]], asm: AssocModel,
                    cfg: TrackerConfig,
                    image_h: float, image_w: float) -> list[tuple]:
     """Run the online loop; returns (frame, id, box, score, class) rows
-    in frame-major, id-minor order."""
+    in frame-major, id-minor order. Each frame's detections are embedded
+    once, for matching and for the memory."""
     memory: list[Tracklet] = []
     next_id = 0
     rows = []
     prev_t = None
+    leaves = asm.store.leaves()
     for frame_id, (time_s, detections) in enumerate(frames):
         if prev_t is not None and time_s <= prev_t:
             raise TrackerError("frames out of time order")
         prev_t = time_s
+        fused = asm.embed(detections, image_h, image_w, leaves).data \
+            if detections else None
         ids, next_id = match_frame(detections, memory, asm, cfg, next_id,
-                                   image_h, image_w)
+                                   image_h, image_w, key_fused=fused, leaves=leaves)
         memory = update_memo(memory, ids, detections, frame_id, time_s, asm,
-                             cfg, image_h, image_w)
+                             cfg, image_h, image_w, fused=fused)
         for tid, det in sorted(zip(ids, detections), key=lambda p: p[0]):
             rows.append((frame_id, tid, det.box, det.score, det.class_id))
     return rows

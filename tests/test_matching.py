@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuetrack import autodiff as ad
 from cuetrack.autodiff import ParameterStore, Tensor, constant, grad_check, total
 from cuetrack.matching import (MatchingError, association_loss,
                                augment_dustbin, hungarian, score_matrix,
                                sinkhorn, sinkhorn_log,
                                uniform_dustbin_marginals)
+from cuetrack.training import build_target
 
 RNG = np.random.default_rng(2024)
 
@@ -99,6 +101,18 @@ class TestSinkhorn:
         with pytest.raises(MatchingError):
             sinkhorn(np.zeros((2, 2)), np.ones(2), np.ones(2), iters=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_marginals_rejected(self, bad):
+        for rows, cols in (([bad, 1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, bad])):
+            with pytest.raises(MatchingError, match="finite and positive"):
+                sinkhorn(np.zeros((2, 2)), np.array(rows), np.array(cols))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_marginals_rejected(self, bad):
+        for rows, cols in (([bad, 2.0], [1.0, 1.0]), ([1.0, 1.0], [2.0, bad])):
+            with pytest.raises(MatchingError, match="finite and positive"):
+                sinkhorn(np.zeros((2, 2)), np.array(rows), np.array(cols))
+
     def test_symmetric_input_gives_uniform_plan(self):
         plan = sinkhorn(np.zeros((3, 3)), np.ones(3), np.ones(3)).values
         assert np.allclose(plan, 1.0 / 3.0, atol=1e-12)
@@ -124,6 +138,51 @@ class TestSinkhorn:
         rows, cols = uniform_dustbin_marginals(m, n)
         plan = sinkhorn(rng.normal(size=(m + 1, n + 1)), rows, cols, iters=60)
         assert abs(plan.values.sum() - (m + n)) < 1e-6
+
+
+def _unrolled_sinkhorn_log(logits, rows, cols, iters):
+    """Reference: the Sinkhorn sweeps unrolled into autodiff primitives."""
+    log_mu = constant(np.log(rows).reshape(-1, 1))
+    log_nu = constant(np.log(cols).reshape(1, -1))
+    u = constant(np.zeros((rows.size, 1)))
+    v = constant(np.zeros((1, cols.size)))
+    for _ in range(iters):
+        u = log_mu - ad.logsumexp_rows(ad.add(logits, v))
+        v = log_nu - ad.logsumexp_cols(ad.add(logits, u))
+    return ad.add(ad.add(logits, u), v)
+
+
+def _equivalence_cases():
+    rng = np.random.default_rng(7)
+    cases = [(rng.normal(size=(2, 2)), *uniform_dustbin_marginals(1, 1), 100)]
+    for _ in range(6):
+        m, n = (int(x) for x in rng.integers(1, 10, size=2))
+        cases.append((rng.normal(scale=3.0, size=(m + 1, n + 1)),
+                      *uniform_dustbin_marginals(m, n), int(rng.integers(1, 120))))
+    target = build_target([0, 1, 1, None, 4], [1, 0, 2, None])
+    cases.append((rng.normal(size=(6, 5)), target.row_marginals,
+                  target.col_marginals, 100))
+    return cases
+
+
+class TestFusedSinkhorn:
+    @pytest.mark.parametrize("logits, rows, cols, iters", _equivalence_cases())
+    def test_matches_unrolled_tape(self, logits, rows, cols, iters):
+        weights = np.random.default_rng(3).normal(size=logits.shape)
+        results = []
+        for fn in (sinkhorn_log, _unrolled_sinkhorn_log):
+            x = Tensor(logits, requires_grad=True)
+            lp = fn(x, rows, cols, iters)
+            total(ad.mul(lp, constant(weights))).backward()
+            results.append((lp.data, x.grad))
+        (fused, fused_grad), (ref, ref_grad) = results
+        assert np.array_equal(fused, ref)
+        assert np.array_equal(fused_grad, ref_grad)
+
+    def test_one_tape_node(self):
+        x = Tensor(np.zeros((3, 4)), requires_grad=True)
+        lp = sinkhorn_log(x, *uniform_dustbin_marginals(2, 3), iters=100)
+        assert lp.parents == (x,)
 
 
 class TestAssociationLoss:

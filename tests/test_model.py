@@ -3,7 +3,8 @@ checkpoint reload, and end-to-end differentiability."""
 import numpy as np
 import pytest
 
-from cuetrack.autodiff import load_checkpoint, save_checkpoint
+from cuetrack import heads
+from cuetrack.autodiff import constant, load_checkpoint, save_checkpoint
 from cuetrack.geometry import Box
 from cuetrack.model import AssocModel, ModelConfig, ModelError, paper_preset
 from cuetrack.simulator import Detection
@@ -55,7 +56,11 @@ class TestEmbedding:
         e_full = full.embed(dets, H, W, full.store.leaves()).data
         e_no = no_app.embed(dets, H, W, no_app.store.leaves()).data
         # same seed -> identical sem/loc heads; difference is exactly e_app
-        e_sem, e_loc, e_app = full.embed_cues_np(dets, H, W)
+        leaves = full.store.leaves()
+        e_sem, e_loc, e_app = (
+            heads.head_forward(spec, leaves, constant(x)).data
+            for spec, x in zip((full.sem_spec, full.loc_spec, full.app_spec),
+                               full.cue_inputs(dets, H, W)))
         assert np.allclose(e_no, e_sem + e_loc, atol=1e-12)
         assert np.allclose(e_full - e_no, e_app, atol=1e-12)
 

@@ -193,6 +193,21 @@ class TestSerialization:
                 assert np.array_equal(da.appearance_vec, db.appearance_vec)
                 assert da.class_id == db.class_id
 
+    def test_missing_and_empty_ground_truth_round_trip(self, tmp_path):
+        frames = generate(_clean_scene())[:3]
+        frames[0].gt = None
+        frames[1].gt = []
+        path = str(tmp_path / "seq.jsonl")
+        write_sequence(frames, path)
+        back = read_sequence(path)
+        assert back[0].gt is None
+        assert back[1].gt == []
+        assert back[2].gt == frames[2].gt and back[2].gt
+        # a record without the key reads as no ground truth
+        with open(path, "a") as f:
+            f.write('{"frame": 3, "time_s": 9.0, "detections": []}\n')
+        assert read_sequence(path)[3].gt is None
+
     def test_dataset_round_trip(self, tmp_path):
         seqs = generate_dataset(_clean_scene(), 3, seed=9)
         write_dataset(seqs, str(tmp_path / "data"))

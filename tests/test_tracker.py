@@ -3,13 +3,15 @@ expiry and the results CSV round trip."""
 import numpy as np
 import pytest
 
+from cuetrack import heads
+from cuetrack.autodiff import constant
 from cuetrack.geometry import Box
 from cuetrack.model import AssocModel, ModelConfig
 from cuetrack.simulator import (ClassProfile, Detection, NoiseConfig,
                                 SceneConfig, generate, generate_dataset)
-from cuetrack.tracker import (TrackerConfig, TrackerError, dynamic_threshold,
-                              match_frame, read_results, track_sequence,
-                              update_memo, write_results)
+from cuetrack.tracker import (TrackerConfig, TrackerError, Tracklet,
+                              dynamic_threshold, match_frame, read_results,
+                              track_sequence, update_memo, write_results)
 from cuetrack.training import TrainConfig, train
 
 H, W = 600.0, 800.0
@@ -38,6 +40,57 @@ def _trained_model(seed=0):
     train(data, TrainConfig(epochs=4, batch_pairs=8, sinkhorn_iters=40,
                             seed=3), asm, H, W)
     return asm
+
+
+def _sorted_greedy(plan, thr, track_ids):
+    """Reference resolution: a Python sort of every cell by (-p, i, j)."""
+    m, n = plan.shape
+    order = sorted(((i, j) for i in range(m) for j in range(n)),
+                   key=lambda ij: (-plan[ij], ij[0], ij[1]))
+    assigned, claimed = {}, set()
+    for i, j in order:
+        if plan[i, j] < thr:
+            break
+        if i in assigned or j in claimed:
+            continue
+        assigned[i] = track_ids[j]
+        claimed.add(j)
+    return assigned
+
+
+def _reference_track(frames, asm, cfg):
+    """Reference online loop built from the model's public pieces: embed
+    the key frame, plan against the stored fused descriptors, resolve by
+    the sorted greedy, then refresh and expire the memory."""
+    memory = {}  # track id -> (last time, fused descriptor)
+    next_id = 0
+    rows = []
+    for frame_id, (time_s, dets) in enumerate(frames):
+        ids = []
+        if dets:
+            leaves = asm.store.leaves()
+            key = asm.embed(dets, H, W, leaves)
+            assigned = {}
+            if memory:
+                track_ids = sorted(memory)
+                ref = constant(np.stack([memory[t][1] for t in track_ids]))
+                log_plan = asm.pair_log_plan(key, ref, leaves,
+                                             sinkhorn_iters=cfg.sinkhorn_iters)
+                plan = np.exp(log_plan.data)[:-1, :-1]
+                assigned = _sorted_greedy(plan, cfg.match_score_thr, track_ids)
+            for i in range(len(dets)):
+                if i in assigned:
+                    ids.append(assigned[i])
+                else:
+                    ids.append(next_id)
+                    next_id += 1
+            for tid, row in zip(ids, key.data):
+                memory[tid] = (time_s, row)
+        memory = {t: v for t, v in memory.items()
+                  if time_s - v[0] <= cfg.memo_length_s}
+        for tid, det in sorted(zip(ids, dets), key=lambda p: p[0]):
+            rows.append((frame_id, tid, det.box, det.score, det.class_id))
+    return rows
 
 
 class TestDynamicThreshold:
@@ -101,6 +154,43 @@ class TestMatchFrame:
         assert all(i >= nid for i in ids1)  # nothing clears p >= 0.999
 
 
+class TestGreedyResolution:
+    @staticmethod
+    def _match_with_plan(plan, thr, monkeypatch):
+        """match_frame with the model's plan replaced by ``plan``."""
+        m, n = plan.shape
+        aug = np.full((m + 1, n + 1), 0.05)
+        aug[:m, :n] = plan
+        asm = _model()
+        monkeypatch.setattr(asm, "pair_log_plan",
+                            lambda *a, **k: constant(np.log(aug)))
+        det = Detection(Box(0, 0, 10, 10), 1.0, np.zeros(8), np.zeros(8), 0)
+        memory = [Tracklet(10 + j, 0.0, np.zeros(8)) for j in range(n)]
+        ids, _ = match_frame([det] * m, memory, asm,
+                             TrackerConfig(match_score_thr=thr), 100, H, W,
+                             key_fused=np.zeros((m, 8)))
+        return ids
+
+    def test_exact_ties_resolve_in_row_then_column_order(self, monkeypatch):
+        plan = np.array([[0.4, 0.4, 0.1],
+                         [0.4, 0.4, 0.1],
+                         [0.1, 0.3, 0.3]])
+        # (0,0) wins its tie, (0,1) and (1,0) are blocked, (1,1) is next;
+        # row 2 ties between columns 1 and 2, column 1 is taken
+        assert self._match_with_plan(plan, 0.2, monkeypatch) == [10, 11, 12]
+
+    def test_agrees_with_sorted_greedy(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            m, n = (int(x) for x in rng.integers(1, 7, size=2))
+            plan = rng.choice([0.1, 0.25, 0.5, 0.75], size=(m, n))
+            assigned = _sorted_greedy(plan, 0.25, [10 + j for j in range(n)])
+            ids = self._match_with_plan(plan, 0.25, monkeypatch)
+            assert all(ids[i] == tid for i, tid in assigned.items())
+            fresh = [tid for i, tid in enumerate(ids) if i not in assigned]
+            assert fresh == list(range(100, 100 + len(fresh)))
+
+
 class TestMemory:
     def test_duplicate_ids_rejected(self):
         det = Detection(Box(0, 0, 10, 10), 1.0, np.zeros(8), np.zeros(8), 0)
@@ -162,6 +252,35 @@ class TestTrackSequence:
         r1 = track_sequence(seq, asm, TrackerConfig(), H, W)
         r2 = track_sequence(seq, asm, TrackerConfig(), H, W)
         assert r1 == r2
+
+
+class TestTrackSequenceEquivalence:
+    def test_matches_reference_loop(self):
+        asm = _trained_model()
+        # the short memory makes false-positive tracks expire mid-sequence
+        for seed, cfg in ((41, TrackerConfig()),
+                          (42, TrackerConfig(memo_length_s=1.0))):
+            frames = [(f.time_s, f.detections)
+                      for f in generate(_scene(seed=seed,
+                                               noise=NoiseConfig(fp_rate=0.5)))]
+            frames[3] = (frames[3][0], [])  # an empty frame in the stream
+            assert track_sequence(frames, asm, cfg, H, W) == \
+                _reference_track(frames, asm, cfg)
+
+    def test_heads_run_once_per_frame(self, monkeypatch):
+        calls = []
+        original = heads.head_forward
+
+        def counting(spec, leaves, x):
+            calls.append(spec.name)
+            return original(spec, leaves, x)
+
+        monkeypatch.setattr(heads, "head_forward", counting)
+        frames = [(f.time_s, f.detections) for f in generate(_scene(seed=41))]
+        frames[2] = (frames[2][0], [])
+        track_sequence(frames, _model(), TrackerConfig(), H, W)
+        with_dets = sum(1 for _, dets in frames if dets)
+        assert len(calls) == 3 * with_dets
 
 
 class TestResultsIO:

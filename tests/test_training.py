@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cuetrack.geometry import Box
 from cuetrack.model import AssocModel, ModelConfig
 from cuetrack.simulator import (ClassProfile, NoiseConfig, SceneConfig,
-                                generate_dataset)
+                                generate_dataset, read_dataset, write_dataset)
 from cuetrack.training import (TrainConfig, TrainingError, build_target,
                                dat_match, sample_pair, train,
                                write_loss_history)
@@ -156,6 +156,18 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=1, batch_pairs=6, sinkhorn_iters=20,
                           gt_only=True, seed=2)
         assert len(train(data, cfg, asm, 600.0, 800.0)) >= 1
+
+    def test_trains_on_read_back_data_with_empty_ground_truth(self, tmp_path):
+        # two-frame sequences, so every sampled pair holds the empty frame
+        data = [seq[:2] for seq in generate_dataset(_tiny_scene(), 3, seed=11)]
+        for seq in data:
+            seq[0].gt = []
+        write_dataset(data, str(tmp_path / "data"))
+        back = read_dataset(str(tmp_path / "data"))
+        assert all(seq[0].gt == [] for seq in back)
+        cfg = TrainConfig(epochs=2, batch_pairs=3, sinkhorn_iters=20, seed=2)
+        history = train(back, cfg, _tiny_model(seed=1), 600.0, 800.0)
+        assert history and all(np.isfinite(loss) for _, _, loss in history)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainingError):
