@@ -9,9 +9,7 @@ OUT=demo_out
 FAST=(
   --set scene.duration_s=6
   --set train.epochs=2
-  --set train.sinkhorn_iters=30
   --set model.sinkhorn_iters=30
-  --set tracker.sinkhorn_iters=30
   --set model.descriptor_dim=8
   --set model.head_hidden=16
   --set model.num_layers=2

@@ -427,12 +427,6 @@ class ParameterStore:
             if leaf.grad is not None:
                 self.grads[name] += leaf.grad
 
-    def clone(self) -> "ParameterStore":
-        other = ParameterStore(self.seed)
-        other.entries = {k: v.copy() for k, v in self.entries.items()}
-        other.grads = {k: v.copy() for k, v in self.grads.items()}
-        return other
-
 
 def grad_check(fn: Callable[[dict[str, Tensor]], Tensor], store: ParameterStore,
                h: float = 1e-5, param_names: list[str] | None = None) -> float:

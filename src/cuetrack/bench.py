@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metrics import EvalReport, association_accuracy
+from .metrics import EvalReport, association_accuracy, pool_sequences
 from .model import AssocModel, ModelConfig
 from .simulator import (ClassProfile, FrameSample, NoiseConfig, SceneConfig,
                         generate_dataset)
@@ -52,29 +52,13 @@ def benchmark_data() -> tuple[list[list[FrameSample]], list[list[FrameSample]]]:
     return train_set, test_set
 
 
-def evaluate_tracker(asm: AssocModel, test_set: list[list[FrameSample]],
-                     tracker_cfg: TrackerConfig | None = None) -> EvalReport:
-    """Track every test sequence and pool them into one evaluation.
-
-    Sequences are concatenated with frame offsets; track and GT ids are
-    suffixed per sequence so identities never collide across sequences.
-    """
-    cfg = tracker_cfg or TrackerConfig()
-    pred_rows: list[tuple] = []
-    gt_frames: list[FrameSample] = []
-    offset = 0
-    for k, seq in enumerate(test_set):
-        rows = track_sequence([(f.time_s, f.detections) for f in seq],
-                              asm, cfg, IMAGE_H, IMAGE_W)
-        for frame, tid, box, score, class_id in rows:
-            pred_rows.append((frame + offset, f"{tid}_{k}", box, score, class_id))
-        for f in seq:
-            gt_frames.append(FrameSample(
-                frame_id=f.frame_id + offset, time_s=f.time_s,
-                detections=f.detections,
-                gt=[(f"{gid}_{k}", box, cid) for gid, box, cid in f.gt]))
-        offset += len(seq)
-    return association_accuracy(pred_rows, gt_frames)
+def evaluate_tracker(asm: AssocModel,
+                     test_set: list[list[FrameSample]]) -> EvalReport:
+    """Track every test sequence and pool them into one evaluation."""
+    rows = [track_sequence([(f.time_s, f.detections) for f in seq],
+                           asm, TrackerConfig(), IMAGE_H, IMAGE_W)
+            for seq in test_set]
+    return association_accuracy(*pool_sequences(test_set, rows))
 
 
 @dataclass(frozen=True)

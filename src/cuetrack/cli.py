@@ -80,18 +80,10 @@ def cmd_track(args) -> int:
     scene = cfg.scene_config()
     dataset = simulator.read_dataset(args.data)
     tcfg = cfg.tracker_config()
-    rows = []
-    frame_offset = 0
-    id_offset = 0
-    for frames in dataset:
-        seq_rows = tracker.track_sequence(
-            [(f.time_s, f.detections) for f in frames], asm, tcfg,
-            scene.image_h, scene.image_w)
-        rows.extend((fid + frame_offset, tid + id_offset, *rest)
-                    for fid, tid, *rest in seq_rows)
-        frame_offset += len(frames)
-        # keep track identities disjoint across concatenated sequences
-        id_offset += 1 + max((tid for _, tid, *_ in seq_rows), default=-1)
+    seq_rows = [tracker.track_sequence([(f.time_s, f.detections) for f in frames],
+                                       asm, tcfg, scene.image_h, scene.image_w)
+                for frames in dataset]
+    rows, _ = metrics.pool_sequences(dataset, seq_rows)
     tracker.write_results(rows, args.out)
     print(f"tracked {len(dataset)} sequences -> {args.out}")
     return 0
@@ -100,20 +92,8 @@ def cmd_track(args) -> int:
 def cmd_eval(args) -> int:
     pred = tracker.read_results(args.pred)
     dataset = simulator.read_dataset(args.gt)
-    # sequences were concatenated with a frame offset during tracking
-    gt_frames = []
-    offset = 0
-    gt_id_offset = 0
-    for frames in dataset:
-        max_gid = -1
-        for f in frames:
-            gts = [(gid + gt_id_offset, box, cid) for gid, box, cid in f.gt or []]
-            max_gid = max([max_gid] + [gid for gid, _, _ in f.gt or []])
-            gt_frames.append(simulator.FrameSample(
-                frame_id=f.frame_id + offset, time_s=f.time_s,
-                detections=[], gt=gts))
-        offset += len(frames)
-        gt_id_offset += 1 + max_gid
+    # sequences were concatenated the same way during tracking
+    _, gt_frames = metrics.pool_sequences(dataset)
     report = metrics.association_accuracy(pred, gt_frames, iou_thr=args.iou_thr)
     metrics.write_report(report, args.out)
     print(f"association_accuracy {report.association_accuracy:.4f} "

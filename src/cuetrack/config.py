@@ -1,17 +1,25 @@
 """Run configuration: defaults, presets, file loading with strict key
-checking, and flag overrides."""
+checking, and flag overrides.
+
+Each section's keys, defaults and value types are the fields of its
+dataclass (``ModelConfig``, ``SceneConfig``, ``TrainConfig``,
+``TrackerConfig``). The ``cues``, ``mode``, top-level ``seed`` and
+``scene.*_dim`` keys fill the ``ModelConfig`` fields of the same meaning.
+"""
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from typing import Any
 
 import yaml
 
-from .model import ModelConfig
-from .simulator import (AbsenceWindow, ClassProfile, NoiseConfig, SceneConfig)
+from .model import ModelConfig, paper_preset
+from .simulator import SceneConfig
 from .tracker import TrackerConfig
 from .training import TrainConfig
 
@@ -20,83 +28,71 @@ class ConfigError(Exception):
     pass
 
 
+_CUES = ("semantic", "location", "appearance", "temporal")
+# ModelConfig fields that other keys set: the cue switches, the mode, the
+# scene's input widths and the top-level seed
+_MODEL_ELSEWHERE = {f"use_{c}" for c in _CUES} | {
+    "closed_set", "semantic_dim", "appearance_dim", "seed"}
+
+
+def _section(cfg, drop=frozenset({"seed"})) -> dict[str, Any]:
+    return {k: v for k, v in asdict(cfg).items() if k not in drop}
+
+
 _DESK_DEFAULTS: dict[str, Any] = {
     "preset": "desk",
     "seed": 0,
     "mode": "open",           # open | closed
     "num_sequences": 10,
-    "cues": {
-        "semantic": True,
-        "location": True,
-        "appearance": True,
-        "temporal": True,
-    },
-    "model": {
-        "descriptor_dim": 32,
-        "num_layers": 4,
-        "num_heads": 4,
-        "head_hidden": 64,
-        "refine_widths": None,
-        "sinkhorn_iters": 100,
-    },
-    "scene": {
-        "image_h": 600.0,
-        "image_w": 800.0,
-        "fps": 2.0,
-        "duration_s": 12.0,
-        "objects_per_class": 3,
-        "semantic_dim": 16,
-        "appearance_dim": 16,
-        "lookalike_appearance": False,
-        "gt_annotated_fraction": 1.0,
-        "max_detections": 50,
-        "nms_iou_thr": 0.5,
-        "profiles": [
-            {"class_id": 0, "motion_kind": "linear", "speed_px_per_s": 10.0,
-             "arc_rate": 0.05, "size_px": [60.0, 60.0]},
-        ],
-        "noise": {
-            "semantic_sigma": 0.05,
-            "appearance_sigma": 0.05,
-            "box_jitter_sigma": 0.0,
-            "drop_prob": 0.0,
-            "fp_rate": 0.0,
-        },
-        "absence_windows": [],
-    },
-    "train": {
-        "epochs": 12,
-        "batch_pairs": 16,
-        "learning_rate": 0.008,
-        "weight_decay": 1e-4,
-        "max_interval_s": 3.0,
-        "iou_match_thr": 0.7,
-        "sinkhorn_iters": 100,
-        "gt_only": False,
-    },
-    "tracker": {
-        "match_score_thr": 0.2,
-        "memo_length_s": 10.0,
-        "sinkhorn_iters": 100,
-    },
+    "cues": {c: getattr(ModelConfig(), f"use_{c}") for c in _CUES},
+    "model": _section(ModelConfig(), _MODEL_ELSEWHERE),
+    "scene": _section(SceneConfig()),
+    "train": _section(TrainConfig()),
+    "tracker": _section(TrackerConfig()),
 }
 
 # appendix values the "paper" preset pins down
 _PAPER_FORCED = {
-    "model": {
-        "descriptor_dim": 256,
-        "num_layers": 4,
-        "num_heads": 4,
-        "head_hidden": 256,
-        "refine_widths": [512, 512, 256],
-        "sinkhorn_iters": 100,
-    },
-    "tracker": {
-        "match_score_thr": 0.2,
-        "memo_length_s": 10.0,
-        "sinkhorn_iters": 100,
-    },
+    "model": {k: v for k, v in asdict(paper_preset()).items()
+              if k in _DESK_DEFAULTS["model"]},
+    "tracker": _section(TrackerConfig()),
 }
+
+
+def _cast(hint, value, where: str):
+    """``value`` as the annotated type: nested dataclasses from mappings,
+    tuples element by element, scalars through their constructor."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if not value:   # an empty or null value leaves an optional field unset
+            return None
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    if is_dataclass(hint):
+        return _build(hint, value, where)
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(args) != len(value):
+            raise ConfigError(f"{where} needs {len(args)} values")
+        return tuple(_cast(a, v, f"{where}[{i}]")
+                     for i, (a, v) in enumerate(zip(args, value)))
+    return hint(value)
+
+
+def _build(cls, values: dict[str, Any], where: str):
+    """``cls`` from a config mapping whose keys name its fields."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(values.keys() - hints.keys())
+    if unknown:
+        raise ConfigError(f"unknown key {where + '.' + unknown[0]!r}")
+    missing = [f.name for f in fields(cls) if f.name not in values
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"missing key {where + '.' + missing[0]!r}")
+    return cls(**{k: _cast(hints[k], v, f"{where}.{k}")
+                  for k, v in values.items()})
 
 
 @dataclass
@@ -111,70 +107,27 @@ class RunConfig:
         return int(self.data["seed"])
 
     def scene_config(self) -> SceneConfig:
-        s = self.data["scene"]
-        profiles = tuple(
-            ClassProfile(class_id=int(p["class_id"]),
-                         motion_kind=p.get("motion_kind", "linear"),
-                         speed_px_per_s=float(p.get("speed_px_per_s", 10.0)),
-                         arc_rate=float(p.get("arc_rate", 0.05)),
-                         size_px=tuple(p.get("size_px", (60.0, 60.0))))
-            for p in s["profiles"])
-        noise = NoiseConfig(**{k: float(v) for k, v in s["noise"].items()})
-        windows = tuple(AbsenceWindow(int(w["object_index"]), float(w["start_s"]),
-                                      float(w["duration_s"]))
-                        for w in s["absence_windows"])
-        return SceneConfig(
-            image_h=float(s["image_h"]), image_w=float(s["image_w"]),
-            fps=float(s["fps"]), duration_s=float(s["duration_s"]),
-            profiles=profiles, objects_per_class=int(s["objects_per_class"]),
-            semantic_dim=int(s["semantic_dim"]),
-            appearance_dim=int(s["appearance_dim"]), noise=noise,
-            lookalike_appearance=bool(s["lookalike_appearance"]),
-            absence_windows=windows,
-            gt_annotated_fraction=float(s["gt_annotated_fraction"]),
-            max_detections=int(s["max_detections"]),
-            nms_iou_thr=float(s["nms_iou_thr"]), seed=self.seed)
+        return _build(SceneConfig, dict(self.data["scene"], seed=self.seed),
+                      "scene")
 
     def model_config(self) -> ModelConfig:
-        m = self.data["model"]
-        cues = self.data["cues"]
-        refine = m["refine_widths"]
-        return ModelConfig(
-            descriptor_dim=int(m["descriptor_dim"]),
-            semantic_dim=int(self.data["scene"]["semantic_dim"]),
-            appearance_dim=int(self.data["scene"]["appearance_dim"]),
-            head_hidden=int(m["head_hidden"]),
-            num_layers=int(m["num_layers"]), num_heads=int(m["num_heads"]),
-            refine_widths=tuple(int(w) for w in refine) if refine else None,
-            use_semantic=bool(cues["semantic"]),
-            use_location=bool(cues["location"]),
-            use_appearance=bool(cues["appearance"]),
-            use_temporal=bool(cues["temporal"]),
-            closed_set=self.data["mode"] == "closed",
-            sinkhorn_iters=int(m["sinkhorn_iters"]),
-            seed=self.seed)
+        d = self.data
+        values = dict(d["model"], semantic_dim=d["scene"]["semantic_dim"],
+                      appearance_dim=d["scene"]["appearance_dim"],
+                      closed_set=d["mode"] == "closed", seed=self.seed,
+                      **{f"use_{c}": d["cues"][c] for c in _CUES})
+        return _build(ModelConfig, values, "model")
 
     def train_config(self) -> TrainConfig:
-        t = self.data["train"]
-        return TrainConfig(
-            epochs=int(t["epochs"]), batch_pairs=int(t["batch_pairs"]),
-            learning_rate=float(t["learning_rate"]),
-            weight_decay=float(t["weight_decay"]),
-            max_interval_s=float(t["max_interval_s"]),
-            iou_match_thr=float(t["iou_match_thr"]),
-            sinkhorn_iters=int(t["sinkhorn_iters"]),
-            gt_only=bool(t["gt_only"]), seed=self.seed)
+        return _build(TrainConfig, dict(self.data["train"], seed=self.seed),
+                      "train")
 
     def tracker_config(self) -> TrackerConfig:
-        t = self.data["tracker"]
-        return TrackerConfig(
-            match_score_thr=float(t["match_score_thr"]),
-            memo_length_s=float(t["memo_length_s"]),
-            sinkhorn_iters=int(t["sinkhorn_iters"]))
+        return _build(TrackerConfig, self.data["tracker"], "tracker")
 
 
 def _merge_checked(base: dict, update: dict, path: str = "") -> None:
-    # list-valued keys (profiles, noise fields inside them, ...) replace wholesale
+    # list-valued keys (profiles, absence windows) replace wholesale
     for key, value in update.items():
         where = f"{path}.{key}" if path else key
         if key not in base:

@@ -9,7 +9,7 @@ by a per-frame temporal encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -83,6 +83,35 @@ def association_accuracy(pred: list[tuple], gt_frames: list[FrameSample],
                       track_count=len(pred_ids_seen), gt_count=len(gt_ids_seen))
 
 
+def pool_sequences(sequences: list[list[FrameSample]],
+                   rows_per_seq: list[list[tuple]] | None = None
+                   ) -> tuple[list[tuple], list[FrameSample]]:
+    """Concatenate sequences, and their tracker rows when given, into one
+    stream for pooled scoring: (pred rows, GT frames).
+
+    Each sequence's frame ids shift by the lengths of the sequences before
+    it; its track ids and its GT ids each shift past the largest id before
+    it, so identities never collide across sequences.
+    """
+    pred: list[tuple] = []
+    gt_frames: list[FrameSample] = []
+    frame_offset = id_offset = gt_id_offset = 0
+    for k, frames in enumerate(sequences):
+        rows = rows_per_seq[k] if rows_per_seq is not None else []
+        pred += [(fid + frame_offset, tid + id_offset, *rest)
+                 for fid, tid, *rest in rows]
+        gt_frames += [FrameSample(frame_id=f.frame_id + frame_offset,
+                                  time_s=f.time_s, detections=f.detections,
+                                  gt=[(gid + gt_id_offset, box, cid)
+                                      for gid, box, cid in f.gt or []])
+                      for f in frames]
+        frame_offset += len(frames)
+        id_offset += 1 + max((tid for _, tid, *_ in rows), default=-1)
+        gt_id_offset += 1 + max((gid for f in frames for gid, _, _ in f.gt or []),
+                                default=-1)
+    return pred, gt_frames
+
+
 def kde(samples: list[float], bandwidth: float,
         grid: np.ndarray) -> np.ndarray:
     """Gaussian-kernel density estimate on the given grid."""

@@ -4,7 +4,7 @@ differentiable pipeline over a pair of frames."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,8 +119,7 @@ class AssocModel:
 
     def pair_log_plan(self, key_fused: Tensor, ref_fused: Tensor,
                       leaves: dict[str, Tensor],
-                      marginals: tuple[np.ndarray, np.ndarray] | None = None,
-                      sinkhorn_iters: int | None = None) -> Tensor:
+                      marginals: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
         """Fused descriptors -> STOG -> scores -> dustbin -> log transport plan."""
         if self.cfg.use_temporal:
             key_fused, ref_fused = heads.temporal_encode(key_fused, ref_fused)
@@ -131,19 +130,17 @@ class AssocModel:
         m, n = scores.data.shape
         if marginals is None:
             marginals = matching.uniform_dustbin_marginals(m, n)
-        iters = sinkhorn_iters if sinkhorn_iters is not None else self.cfg.sinkhorn_iters
-        return matching.sinkhorn_log(aug, marginals[0], marginals[1], iters)
+        return matching.sinkhorn_log(aug, marginals[0], marginals[1],
+                                     self.cfg.sinkhorn_iters)
 
     def forward_pair(self, key_dets: list[Detection], ref_dets: list[Detection],
                      image_h: float, image_w: float,
                      marginals: tuple[np.ndarray, np.ndarray] | None = None,
-                     leaves: dict[str, Tensor] | None = None,
-                     sinkhorn_iters: int | None = None) -> tuple[Tensor, dict[str, Tensor]]:
+                     leaves: dict[str, Tensor] | None = None) -> tuple[Tensor, dict[str, Tensor]]:
         """Full pipeline on one frame pair; returns (log-plan, leaves)."""
         if leaves is None:
             leaves = self.store.leaves()
         key_fused = self.embed(key_dets, image_h, image_w, leaves)
         ref_fused = self.embed(ref_dets, image_h, image_w, leaves)
-        log_plan = self.pair_log_plan(key_fused, ref_fused, leaves, marginals,
-                                      sinkhorn_iters)
+        log_plan = self.pair_log_plan(key_fused, ref_fused, leaves, marginals)
         return log_plan, leaves

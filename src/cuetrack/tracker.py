@@ -23,7 +23,6 @@ class TrackerError(Exception):
 class TrackerConfig:
     match_score_thr: float = 0.2
     memo_length_s: float = 10.0
-    sinkhorn_iters: int = 100
 
     def __post_init__(self):
         if not 0 < self.match_score_thr < 1:
@@ -53,29 +52,23 @@ def dynamic_threshold(num_classes: int) -> float:
 
 def match_frame(detections: list[Detection], memory: list[Tracklet],
                 asm: AssocModel, cfg: TrackerConfig, next_id: int,
-                image_h: float, image_w: float,
-                key_fused: np.ndarray | None = None,
-                leaves: dict[str, ad.Tensor] | None = None) -> tuple[list[int], int]:
+                key_fused: np.ndarray | None,
+                leaves: dict[str, ad.Tensor]) -> tuple[list[int], int]:
     """Assign a tracklet id (existing or fresh) to each detection.
 
-    Detections embed as the key frame and memory as the reference frame;
-    the dustbin-augmented transport plan is resolved greedily in
-    descending probability with the matching threshold. ``key_fused``
-    (the detections' fused descriptors) and ``leaves`` are computed here
-    when not given.
+    ``key_fused`` holds the detections' fused descriptors (None for an
+    empty frame) and is planned as the key frame against the memory's
+    descriptors; the dustbin-augmented transport plan is resolved
+    greedily in descending probability with the matching threshold.
     """
     if not detections:
         return [], next_id
     if not memory:
         ids = list(range(next_id, next_id + len(detections)))
         return ids, next_id + len(detections)
-    if leaves is None:
-        leaves = asm.store.leaves()
-    if key_fused is None:
-        key_fused = asm.embed(detections, image_h, image_w, leaves).data
     ref_fused = np.stack([t.fused for t in memory])
     log_plan = asm.pair_log_plan(ad.constant(key_fused), ad.constant(ref_fused),
-                                 leaves, sinkhorn_iters=cfg.sinkhorn_iters)
+                                 leaves)
     plan = np.exp(log_plan.data)[:-1, :-1]  # real detections x real tracklets
     m, n = plan.shape
     # descending probability, ties in (row, column) order: a stable sort
@@ -100,23 +93,17 @@ def match_frame(detections: list[Detection], memory: list[Tracklet],
 
 
 def update_memo(memory: list[Tracklet], ids: list[int],
-                detections: list[Detection], frame_id: int, time_s: float,
-                asm: AssocModel, cfg: TrackerConfig,
-                image_h: float, image_w: float,
-                fused: np.ndarray | None = None) -> list[Tracklet]:
+                detections: list[Detection], time_s: float,
+                cfg: TrackerConfig, fused: np.ndarray | None) -> list[Tracklet]:
     """Refresh matched tracklets, append new ones, expire stale ones.
 
-    ``fused`` holds the detections' fused descriptors and is computed
-    here when not given. ``frame_id`` is not stored; memory ages by
-    ``time_s`` alone.
+    ``fused`` holds the detections' fused descriptors (None for an empty
+    frame); memory ages by ``time_s`` alone.
     """
     if len(set(ids)) != len(ids):
         raise TrackerError("duplicate id in frame assignments")
     by_id = {t.track_id: t for t in memory}
     if detections:
-        if fused is None:
-            fused = asm.embed(detections, image_h, image_w,
-                              asm.store.leaves()).data
         for tid, row in zip(ids, fused):
             t = by_id.get(tid)
             if t is None:
@@ -146,9 +133,8 @@ def track_sequence(frames: list[tuple[float, list[Detection]]], asm: AssocModel,
         fused = asm.embed(detections, image_h, image_w, leaves).data \
             if detections else None
         ids, next_id = match_frame(detections, memory, asm, cfg, next_id,
-                                   image_h, image_w, key_fused=fused, leaves=leaves)
-        memory = update_memo(memory, ids, detections, frame_id, time_s, asm,
-                             cfg, image_h, image_w, fused=fused)
+                                   fused, leaves)
+        memory = update_memo(memory, ids, detections, time_s, cfg, fused)
         for tid, det in sorted(zip(ids, detections), key=lambda p: p[0]):
             rows.append((frame_id, tid, det.box, det.score, det.class_id))
     return rows

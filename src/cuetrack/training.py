@@ -28,7 +28,6 @@ class TrainConfig:
     weight_decay: float = 1e-4
     max_interval_s: float = 3.0
     iou_match_thr: float = 0.7
-    sinkhorn_iters: int = 100
     gt_only: bool = False   # ablation: train on clean GT boxes, no DAT channel
     seed: int = 0
 
@@ -132,8 +131,7 @@ def _pair_loss(asm: AssocModel, key: FrameSample, ref: FrameSample,
     log_plan, _ = asm.forward_pair(key_dets, ref_dets, image_h, image_w,
                                    marginals=(target.row_marginals,
                                               target.col_marginals),
-                                   leaves=leaves,
-                                   sinkhorn_iters=cfg.sinkhorn_iters)
+                                   leaves=leaves)
     return matching.association_loss(log_plan, target.values)
 
 
@@ -164,37 +162,38 @@ def train(dataset: list[list[FrameSample]], cfg: TrainConfig, asm: AssocModel,
     if not dataset:
         raise TrainingError("empty dataset")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    store = asm.store
     history: list[tuple[int, int, float]] = []
     step = 0
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(dataset))
-        batch: list[tuple[FrameSample, FrameSample]] = []
-        for seq_idx in order:
-            seq = dataset[seq_idx]
-            try:
-                batch.append(sample_pair(seq, cfg.max_interval_s, rng))
-            except TrainingError:
-                continue
-            if len(batch) < cfg.batch_pairs:
-                continue
+        for batch in _epoch_batches(dataset, cfg, rng):
             loss_val = _train_step(asm, batch, cfg, image_h, image_w)
-            if loss_val is not None:
-                if not np.isfinite(loss_val):
-                    raise TrainingError(f"non-finite loss at step {step}")
-                history.append((step, epoch, loss_val))
-                if log_every and step % log_every == 0:
-                    print(f"step {step} epoch {epoch} loss {loss_val:.4f}")
-                step += 1
-            batch = []
-        if batch:
-            loss_val = _train_step(asm, batch, cfg, image_h, image_w)
-            if loss_val is not None:
-                if not np.isfinite(loss_val):
-                    raise TrainingError(f"non-finite loss at step {step}")
-                history.append((step, epoch, loss_val))
-                step += 1
+            if loss_val is None:
+                continue
+            if not np.isfinite(loss_val):
+                raise TrainingError(f"non-finite loss at step {step}")
+            history.append((step, epoch, loss_val))
+            if log_every and step % log_every == 0:
+                print(f"step {step} epoch {epoch} loss {loss_val:.4f}")
+            step += 1
     return history
+
+
+def _epoch_batches(dataset: list[list[FrameSample]], cfg: TrainConfig,
+                   rng: np.random.Generator):
+    """One pair per sequence, in a fresh sequence order, yielded in batches
+    of ``cfg.batch_pairs`` as they fill; the last batch may be shorter.
+    Sequences with no eligible pair are skipped."""
+    batch: list[tuple[FrameSample, FrameSample]] = []
+    for seq_idx in rng.permutation(len(dataset)):
+        try:
+            batch.append(sample_pair(dataset[seq_idx], cfg.max_interval_s, rng))
+        except TrainingError:
+            continue
+        if len(batch) == cfg.batch_pairs:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
 
 
 def _train_step(asm: AssocModel, batch, cfg: TrainConfig,

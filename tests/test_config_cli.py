@@ -9,6 +9,10 @@ import yaml
 
 from cuetrack.cli import main
 from cuetrack.config import ConfigError, load_config
+from cuetrack.model import ModelConfig, paper_preset
+from cuetrack.simulator import ClassProfile, SceneConfig
+from cuetrack.tracker import TrackerConfig
+from cuetrack.training import TrainConfig
 
 
 class TestConfig:
@@ -22,6 +26,35 @@ class TestConfig:
         assert cfg.train_config().weight_decay == 1e-4
         assert cfg.train_config().batch_pairs == 16
         assert cfg.train_config().max_interval_s == 3.0
+        assert cfg.model_config() == ModelConfig()
+        assert cfg.scene_config() == SceneConfig()
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.tracker_config() == TrackerConfig()
+
+    def test_one_sinkhorn_iteration_count(self):
+        assert load_config(overrides={"model.sinkhorn_iters": "30"}) \
+            .model_config().sinkhorn_iters == 30
+        for key in ("train.sinkhorn_iters", "tracker.sinkhorn_iters"):
+            with pytest.raises(ConfigError, match=key):
+                load_config(overrides={key: "30"})
+
+    def test_profile_entry_keys_checked(self):
+        cfg = load_config(overrides={
+            "scene.profiles": '[{"class_id": 1, "speed_px_per_s": 5}]'})
+        assert cfg.scene_config().profiles == (
+            ClassProfile(1, speed_px_per_s=5.0),)
+        cfg = load_config(overrides={
+            "scene.profiles": '[{"class_id": 0, "sped": 99}]'})
+        with pytest.raises(ConfigError, match=r"scene\.profiles\[0\]\.sped"):
+            cfg.scene_config()
+
+    def test_absence_window_keys_checked(self):
+        cfg = load_config(overrides={"scene.absence_windows":
+                                     '[{"object_index": 0, "start": 1.0,'
+                                     ' "duration_s": 2.0}]'})
+        with pytest.raises(ConfigError,
+                           match=r"scene\.absence_windows\[0\]\.start"):
+            cfg.scene_config()
 
     def test_yaml_file_merge(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -61,6 +94,7 @@ class TestConfig:
         m = cfg.model_config()
         assert m.descriptor_dim == 256
         assert m.refine_widths == (512, 512, 256)
+        assert m == paper_preset()
         assert cfg.tracker_config().match_score_thr == 0.2
         assert cfg.tracker_config().memo_length_s == 10.0
 
@@ -79,9 +113,7 @@ class TestConfig:
 FAST = [
     "--set", "scene.duration_s=6",
     "--set", "train.epochs=2",
-    "--set", "train.sinkhorn_iters=30",
     "--set", "model.sinkhorn_iters=30",
-    "--set", "tracker.sinkhorn_iters=30",
     "--set", "model.descriptor_dim=8",
     "--set", "model.head_hidden=16",
     "--set", "model.num_layers=2",
@@ -139,10 +171,14 @@ class TestCli:
         assert "checkpoint" in capsys.readouterr().err
 
     def test_bad_override_exits_2(self, tmp_path, capsys):
-        rc = main(["simulate", "--out", str(tmp_path / "d"),
-                   "--set", "scene.sped=3"])
-        assert rc == 2
-        assert "unknown key" in capsys.readouterr().err
+        for override in ("scene.sped=3",
+                         'scene.profiles=[{"class_id": 0, "sped": 99}]',
+                         'scene.absence_windows=[{"object_index": 0,'
+                         ' "start": 1.0, "duration_s": 2.0}]'):
+            rc = main(["simulate", "--out", str(tmp_path / "d"),
+                       "--set", override])
+            assert rc == 2
+            assert "unknown key" in capsys.readouterr().err
 
     def test_malformed_set_flag(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path / "d"),

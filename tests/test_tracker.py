@@ -1,5 +1,7 @@
 """Online tracking: threshold rule, greedy plan resolution, memory
 expiry and the results CSV round trip."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,12 @@ from cuetrack.training import TrainConfig, train
 H, W = 600.0, 800.0
 
 
-def _model(seed=0):
+def _model(seed=0, sinkhorn_iters=40):
     return AssocModel(ModelConfig(descriptor_dim=8, semantic_dim=8,
                                   appearance_dim=8, head_hidden=16,
                                   num_layers=2, num_heads=2,
                                   refine_widths=(16, 8),
-                                  sinkhorn_iters=40, seed=seed))
+                                  sinkhorn_iters=sinkhorn_iters, seed=seed))
 
 
 def _scene(seed=0, **kw):
@@ -35,11 +37,18 @@ def _scene(seed=0, **kw):
 
 
 def _trained_model(seed=0):
+    """Trained at 40 Sinkhorn iterations, returned for tracking at 100."""
     data = generate_dataset(_scene(), 10, seed=21)
     asm = _model(seed)
-    train(data, TrainConfig(epochs=4, batch_pairs=8, sinkhorn_iters=40,
-                            seed=3), asm, H, W)
-    return asm
+    train(data, TrainConfig(epochs=4, batch_pairs=8, seed=3), asm, H, W)
+    return AssocModel(dataclasses.replace(asm.cfg, sinkhorn_iters=100),
+                      store=asm.store)
+
+
+def _embedded(asm, dets):
+    """(fused descriptors or None, leaves) as ``track_sequence`` passes them."""
+    leaves = asm.store.leaves()
+    return (asm.embed(dets, H, W, leaves).data if dets else None), leaves
 
 
 def _sorted_greedy(plan, thr, track_ids):
@@ -74,8 +83,7 @@ def _reference_track(frames, asm, cfg):
             if memory:
                 track_ids = sorted(memory)
                 ref = constant(np.stack([memory[t][1] for t in track_ids]))
-                log_plan = asm.pair_log_plan(key, ref, leaves,
-                                             sinkhorn_iters=cfg.sinkhorn_iters)
+                log_plan = asm.pair_log_plan(key, ref, leaves)
                 plan = np.exp(log_plan.data)[:-1, :-1]
                 assigned = _sorted_greedy(plan, cfg.match_score_thr, track_ids)
             for i in range(len(dets)):
@@ -121,13 +129,16 @@ class TestConfig:
 
 class TestMatchFrame:
     def test_empty_frame(self):
-        ids, nid = match_frame([], [], _model(), TrackerConfig(), 7, H, W)
+        asm = _model()
+        ids, nid = match_frame([], [], asm, TrackerConfig(), 7,
+                               *_embedded(asm, []))
         assert ids == [] and nid == 7
 
     def test_first_frame_spawns_sequential_ids(self):
         fr = generate(_scene())[0]
-        ids, nid = match_frame(fr.detections, [], _model(), TrackerConfig(),
-                               0, H, W)
+        asm = _model()
+        ids, nid = match_frame(fr.detections, [], asm, TrackerConfig(),
+                               0, *_embedded(asm, fr.detections))
         assert ids == list(range(len(fr.detections)))
         assert nid == len(fr.detections)
 
@@ -137,20 +148,24 @@ class TestMatchFrame:
         memory = []
         next_id = 0
         for fid, fr in enumerate(frames):
+            fused, leaves = _embedded(asm, fr.detections)
             ids, next_id = match_frame(fr.detections, memory, asm,
-                                       TrackerConfig(), next_id, H, W)
+                                       TrackerConfig(), next_id, fused, leaves)
             assert len(set(ids)) == len(ids)
-            memory = update_memo(memory, ids, fr.detections, fid, fr.time_s,
-                                 asm, TrackerConfig(), H, W)
+            memory = update_memo(memory, ids, fr.detections, fr.time_s,
+                                 TrackerConfig(), fused)
 
     def test_high_threshold_spawns_new_ids(self):
         asm = _trained_model()
         frames = generate(_scene(seed=33))
         cfg = TrackerConfig(match_score_thr=0.999)
-        ids0, nid = match_frame(frames[0].detections, [], asm, cfg, 0, H, W)
-        memory = update_memo([], ids0, frames[0].detections, 0,
-                             frames[0].time_s, asm, cfg, H, W)
-        ids1, _ = match_frame(frames[1].detections, memory, asm, cfg, nid, H, W)
+        fused0, leaves = _embedded(asm, frames[0].detections)
+        ids0, nid = match_frame(frames[0].detections, [], asm, cfg, 0,
+                                fused0, leaves)
+        memory = update_memo([], ids0, frames[0].detections,
+                             frames[0].time_s, cfg, fused0)
+        ids1, _ = match_frame(frames[1].detections, memory, asm, cfg, nid,
+                              *_embedded(asm, frames[1].detections))
         assert all(i >= nid for i in ids1)  # nothing clears p >= 0.999
 
 
@@ -167,8 +182,8 @@ class TestGreedyResolution:
         det = Detection(Box(0, 0, 10, 10), 1.0, np.zeros(8), np.zeros(8), 0)
         memory = [Tracklet(10 + j, 0.0, np.zeros(8)) for j in range(n)]
         ids, _ = match_frame([det] * m, memory, asm,
-                             TrackerConfig(match_score_thr=thr), 100, H, W,
-                             key_fused=np.zeros((m, 8)))
+                             TrackerConfig(match_score_thr=thr), 100,
+                             np.zeros((m, 8)), asm.store.leaves())
         return ids
 
     def test_exact_ties_resolve_in_row_then_column_order(self, monkeypatch):
@@ -195,29 +210,31 @@ class TestMemory:
     def test_duplicate_ids_rejected(self):
         det = Detection(Box(0, 0, 10, 10), 1.0, np.zeros(8), np.zeros(8), 0)
         with pytest.raises(TrackerError):
-            update_memo([], [4, 4], [det, det], 0, 0.0, _model(),
-                        TrackerConfig(), H, W)
+            update_memo([], [4, 4], [det, det], 0.0, TrackerConfig(),
+                        _embedded(_model(), [det, det])[0])
 
     def test_expiry_by_time(self):
         asm = _model()
         det = Detection(Box(0, 0, 10, 10), 1.0, np.zeros(8), np.zeros(8), 0)
         cfg = TrackerConfig(memo_length_s=5.0)
-        memory = update_memo([], [0], [det], 0, 0.0, asm, cfg, H, W)
+        fused = _embedded(asm, [det])[0]
+        memory = update_memo([], [0], [det], 0.0, cfg, fused)
         assert len(memory) == 1
         # 4 s later: still alive even with no detections
-        memory = update_memo(memory, [], [], 8, 4.0, asm, cfg, H, W)
+        memory = update_memo(memory, [], [], 4.0, cfg, None)
         assert len(memory) == 1
         # 6 s after last sighting: expired
-        memory = update_memo(memory, [], [], 12, 6.0, asm, cfg, H, W)
+        memory = update_memo(memory, [], [], 6.0, cfg, None)
         assert memory == []
 
     def test_refresh_resets_clock(self):
         asm = _model()
         det = Detection(Box(0, 0, 10, 10), 1.0, np.zeros(8), np.zeros(8), 0)
         cfg = TrackerConfig(memo_length_s=5.0)
-        memory = update_memo([], [0], [det], 0, 0.0, asm, cfg, H, W)
-        memory = update_memo(memory, [0], [det], 8, 4.0, asm, cfg, H, W)
-        memory = update_memo(memory, [], [], 16, 8.0, asm, cfg, H, W)
+        fused = _embedded(asm, [det])[0]
+        memory = update_memo([], [0], [det], 0.0, cfg, fused)
+        memory = update_memo(memory, [0], [det], 4.0, cfg, fused)
+        memory = update_memo(memory, [], [], 8.0, cfg, None)
         assert len(memory) == 1  # refreshed at t=4, so alive at t=8
 
 
@@ -278,7 +295,7 @@ class TestTrackSequenceEquivalence:
         monkeypatch.setattr(heads, "head_forward", counting)
         frames = [(f.time_s, f.detections) for f in generate(_scene(seed=41))]
         frames[2] = (frames[2][0], [])
-        track_sequence(frames, _model(), TrackerConfig(), H, W)
+        track_sequence(frames, _model(sinkhorn_iters=100), TrackerConfig(), H, W)
         with_dets = sum(1 for _, dets in frames if dets)
         assert len(calls) == 3 * with_dets
 

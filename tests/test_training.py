@@ -24,12 +24,12 @@ def _tiny_scene(seed=0, **kw):
     return SceneConfig(**args)
 
 
-def _tiny_model(seed=0):
+def _tiny_model(seed=0, sinkhorn_iters=30):
     return AssocModel(ModelConfig(descriptor_dim=8, semantic_dim=8,
                                   appearance_dim=8, head_hidden=16,
                                   num_layers=2, num_heads=2,
                                   refine_widths=(16, 8),
-                                  sinkhorn_iters=30, seed=seed))
+                                  sinkhorn_iters=sinkhorn_iters, seed=seed))
 
 
 class TestDatMatch:
@@ -122,7 +122,7 @@ class TestTrainLoop:
         seq = generate_dataset(_tiny_scene(), 1, seed=11)[0]
         data = [seq] * 8
         asm = _tiny_model(seed=1)
-        cfg = TrainConfig(epochs=8, batch_pairs=8, sinkhorn_iters=30, seed=2)
+        cfg = TrainConfig(epochs=8, batch_pairs=8, seed=2)
         eval_pairs = [(seq[i], seq[i + 2]) for i in range(0, len(seq) - 2, 3)]
 
         def mean_loss():
@@ -143,8 +143,8 @@ class TestTrainLoop:
         data = generate_dataset(_tiny_scene(), 6, seed=11)
         runs = []
         for _ in range(2):
-            asm = _tiny_model(seed=1)
-            cfg = TrainConfig(epochs=2, batch_pairs=6, sinkhorn_iters=20, seed=2)
+            asm = _tiny_model(seed=1, sinkhorn_iters=20)
+            cfg = TrainConfig(epochs=2, batch_pairs=6, seed=2)
             train(data, cfg, asm, 600.0, 800.0)
             runs.append({k: v.copy() for k, v in asm.store.entries.items()})
         for name in runs[0]:
@@ -152,9 +152,8 @@ class TestTrainLoop:
 
     def test_gt_only_mode_runs(self):
         data = generate_dataset(_tiny_scene(), 6, seed=11)
-        asm = _tiny_model(seed=1)
-        cfg = TrainConfig(epochs=1, batch_pairs=6, sinkhorn_iters=20,
-                          gt_only=True, seed=2)
+        asm = _tiny_model(seed=1, sinkhorn_iters=20)
+        cfg = TrainConfig(epochs=1, batch_pairs=6, gt_only=True, seed=2)
         assert len(train(data, cfg, asm, 600.0, 800.0)) >= 1
 
     def test_trains_on_read_back_data_with_empty_ground_truth(self, tmp_path):
@@ -165,9 +164,21 @@ class TestTrainLoop:
         write_dataset(data, str(tmp_path / "data"))
         back = read_dataset(str(tmp_path / "data"))
         assert all(seq[0].gt == [] for seq in back)
-        cfg = TrainConfig(epochs=2, batch_pairs=3, sinkhorn_iters=20, seed=2)
-        history = train(back, cfg, _tiny_model(seed=1), 600.0, 800.0)
+        cfg = TrainConfig(epochs=2, batch_pairs=3, seed=2)
+        history = train(back, cfg, _tiny_model(seed=1, sinkhorn_iters=20),
+                        600.0, 800.0)
         assert history and all(np.isfinite(loss) for _, _, loss in history)
+
+    def test_log_every_prints_every_recorded_step(self, capsys):
+        # 6 sequences in batches of 4: each epoch ends with a batch of 2
+        data = generate_dataset(_tiny_scene(), 6, seed=11)
+        cfg = TrainConfig(epochs=2, batch_pairs=4, seed=2)
+        history = train(data, cfg, _tiny_model(seed=1, sinkhorn_iters=20),
+                        600.0, 800.0, log_every=1)
+        assert len(history) == 4
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [f"step {s} epoch {e} loss {loss:.4f}"
+                           for s, e, loss in history]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainingError):
@@ -184,12 +195,10 @@ class TestTrainLoop:
         weights stay put; with decay the update shrinks weights by
         lr * wd after the gradient step."""
         data = generate_dataset(_tiny_scene(), 4, seed=11)
-        asm_a = _tiny_model(seed=1)
-        asm_b = _tiny_model(seed=1)
-        cfg_a = TrainConfig(epochs=1, batch_pairs=4, sinkhorn_iters=20,
-                            weight_decay=0.0, seed=2)
-        cfg_b = TrainConfig(epochs=1, batch_pairs=4, sinkhorn_iters=20,
-                            weight_decay=0.1, seed=2)
+        asm_a = _tiny_model(seed=1, sinkhorn_iters=20)
+        asm_b = _tiny_model(seed=1, sinkhorn_iters=20)
+        cfg_a = TrainConfig(epochs=1, batch_pairs=4, weight_decay=0.0, seed=2)
+        cfg_b = TrainConfig(epochs=1, batch_pairs=4, weight_decay=0.1, seed=2)
         train(data, cfg_a, asm_a, 600.0, 800.0)
         train(data, cfg_b, asm_b, 600.0, 800.0)
         lr = cfg_b.learning_rate
