@@ -24,11 +24,6 @@ class AutodiffError(Exception):
     pass
 
 
-def _as_array(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 class Tensor:
     """A node of the computation tape.
 
@@ -42,7 +37,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, parents: tuple = (),
                  backward: Callable[[np.ndarray], None] | None = None,
                  name: str = ""):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(self.data)):
             raise AutodiffError(f"non-finite values entering tensor {name or '<unnamed>'}")
         self.requires_grad = requires_grad
@@ -65,7 +60,7 @@ class Tensor:
         """Reverse pass from this node; visits every node exactly once."""
         if output_grad is None:
             output_grad = np.ones_like(self.data)
-        output_grad = _as_array(output_grad)
+        output_grad = np.asarray(output_grad, dtype=np.float64)
         if output_grad.shape != self.data.shape:
             raise AutodiffError(
                 f"output grad shape {output_grad.shape} != tensor shape {self.data.shape}")
@@ -88,17 +83,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    def zero_grad_tree(self) -> None:
-        seen: set[int] = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            node.grad = None
-            stack.extend(node.parents)
 
     # -- convenience operators ------------------------------------------
     def __add__(self, other):
@@ -391,9 +375,15 @@ class ParameterStore:
         self.grads: dict[str, np.ndarray] = {}
 
     def create(self, name: str, shape: tuple, init: str = "xavier") -> np.ndarray:
-        if name in self.entries:
-            return self.entries[name]
+        """A new parameter, or the existing one of that name, which must
+        have the requested shape (a checkpoint must fit the model)."""
         shape = tuple(int(s) for s in shape)
+        if name in self.entries:
+            if self.entries[name].shape != shape:
+                raise AutodiffError(
+                    f"parameter {name} has shape {self.entries[name].shape}, "
+                    f"the model needs {shape}")
+            return self.entries[name]
         if init == "xavier":
             fan_in = shape[0] if len(shape) > 1 else shape[0]
             fan_out = shape[1] if len(shape) > 1 else shape[0]
@@ -422,10 +412,12 @@ class ParameterStore:
                 for name in self.entries}
 
     def harvest(self, leaves: dict[str, Tensor]) -> None:
-        """Accumulate leaf gradients from a finished backward pass."""
+        """Accumulate leaf gradients from a finished backward pass and clear
+        them, so the same leaves can serve the next pass."""
         for name, leaf in leaves.items():
             if leaf.grad is not None:
                 self.grads[name] += leaf.grad
+                leaf.grad = None
 
 
 def grad_check(fn: Callable[[dict[str, Tensor]], Tensor], store: ParameterStore,

@@ -18,8 +18,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    metavar="KEY=VALUE",
                    help="dotted-path config override, e.g. tracker.match_score_thr=0.3")
     p.add_argument("--preset", choices=["desk", "paper"], default=None)
-    p.add_argument("--match-score-thr", type=float, default=None)
-    p.add_argument("--memo-length-s", type=float, default=None)
     p.add_argument("--num-sequences", type=int, default=None)
 
 
@@ -34,10 +32,6 @@ def _build_config(args) -> RunConfig:
         overrides["seed"] = args.seed
     if args.preset is not None:
         overrides["preset"] = args.preset
-    if args.match_score_thr is not None:
-        overrides["tracker.match_score_thr"] = args.match_score_thr
-    if args.memo_length_s is not None:
-        overrides["tracker.memo_length_s"] = args.memo_length_s
     if args.num_sequences is not None:
         overrides["num_sequences"] = args.num_sequences
     return load_config(args.config, overrides)
@@ -46,7 +40,7 @@ def _build_config(args) -> RunConfig:
 def cmd_simulate(args) -> int:
     cfg = _build_config(args)
     scene = cfg.scene_config()
-    sequences = simulator.generate_dataset(scene, int(cfg["num_sequences"]),
+    sequences = simulator.generate_dataset(scene, cfg["num_sequences"],
                                            seed=cfg.seed)
     simulator.write_dataset(sequences, args.out)
     print(f"wrote {len(sequences)} sequences to {args.out}")

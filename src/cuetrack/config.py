@@ -61,7 +61,8 @@ _PAPER_FORCED = {
 
 def _cast(hint, value, where: str):
     """``value`` as the annotated type: nested dataclasses from mappings,
-    tuples element by element, scalars through their constructor."""
+    tuples element by element, a bool only from a bool, an int only from
+    an integral number, other scalars through their constructor."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         if not value:   # an empty or null value leaves an optional field unset
             return None
@@ -76,6 +77,16 @@ def _cast(hint, value, where: str):
             raise ConfigError(f"{where} needs {len(args)} values")
         return tuple(_cast(a, v, f"{where}[{i}]")
                      for i, (a, v) in enumerate(zip(args, value)))
+    if hint is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where} must be true or false, got {value!r}")
+        return value
+    if hint is int:
+        if isinstance(value, bool) or not (
+                isinstance(value, int)
+                or isinstance(value, float) and value.is_integer()):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        return int(value)
     return hint(value)
 
 
@@ -104,7 +115,7 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.data["seed"])
+        return self.data["seed"]
 
     def scene_config(self) -> SceneConfig:
         return _build(SceneConfig, dict(self.data["scene"], seed=self.seed),
@@ -177,7 +188,9 @@ def load_config(path: str | None = None,
     if data["preset"] == "paper":
         for section, forced in _PAPER_FORCED.items():
             data[section].update(copy.deepcopy(forced))
-    cues = data["cues"]
+    for key in ("seed", "num_sequences"):
+        data[key] = _cast(int, data[key], key)
+    cues = {c: _cast(bool, data["cues"][c], f"cues.{c}") for c in _CUES}
     if not (cues["semantic"] or cues["location"] or cues["appearance"]):
         raise ConfigError("all cues disabled: nothing to match on")
     return RunConfig(data)

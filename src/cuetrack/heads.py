@@ -2,7 +2,8 @@
 
 Each head is an MLP projecting one raw cue (class descriptor, normalized
 box geometry, appearance vector) into the shared descriptor space of
-width d. Hidden layers use group normalization followed by ReLU; the
+width d through ``mlp``, the MLP the attention graph's refinement blocks
+share. Hidden layers use group normalization followed by ReLU; the
 final layer is bare. Fusion is an elementwise sum, optionally shifted
 by a per-frame temporal encoding.
 """
@@ -27,7 +28,6 @@ class HeadSpec:
     name: str
     input_width: int
     widths: tuple[int, ...]
-    use_group_norm: bool = True
 
     @property
     def output_width(self) -> int:
@@ -35,22 +35,44 @@ class HeadSpec:
 
 
 def mlp_head_spec(name: str, input_width: int, hidden: int, depth: int,
-                  out: int, use_group_norm: bool = True) -> HeadSpec:
+                  out: int) -> HeadSpec:
     """A depth-layer MLP: (depth - 1) hidden layers of one width, then out."""
-    return HeadSpec(name, input_width, tuple([hidden] * (depth - 1) + [out]),
-                    use_group_norm)
+    return HeadSpec(name, input_width, tuple([hidden] * (depth - 1) + [out]))
+
+
+def _layer_names(prefix: str, i: int) -> tuple[str, str, str, str]:
+    """Weight, bias, group-norm gain and group-norm shift of MLP layer i."""
+    return (f"{prefix}{i}.W", f"{prefix}{i}.b",
+            f"{prefix}{i}.gn.gamma", f"{prefix}{i}.gn.beta")
+
+
+def init_mlp(store: ParameterStore, prefix: str, in_w: int,
+             widths: tuple[int, ...]) -> None:
+    """Weight and bias for every layer, group-norm gain and shift for all
+    but the last."""
+    for i, out_w in enumerate(widths):
+        w, b, gamma, beta = _layer_names(prefix, i)
+        store.create(w, (in_w, out_w), "xavier")
+        store.create(b, (1, out_w), "zeros")
+        if i < len(widths) - 1:
+            store.create(gamma, (1, out_w), "ones")
+            store.create(beta, (1, out_w), "zeros")
+        in_w = out_w
+
+
+def mlp(leaves: dict[str, Tensor], prefix: str, x: Tensor, depth: int) -> Tensor:
+    """Linear, then group norm and ReLU, on each of ``depth`` layers; the
+    last layer is bare."""
+    for i in range(depth):
+        w, b, gamma, beta = _layer_names(prefix, i)
+        x = ad.add(ad.matmul(x, leaves[w]), leaves[b])
+        if i < depth - 1:
+            x = ad.relu(ad.group_norm(x, leaves[gamma], leaves[beta]))
+    return x
 
 
 def init_head(spec: HeadSpec, store: ParameterStore) -> None:
-    in_w = spec.input_width
-    for i, out_w in enumerate(spec.widths):
-        store.create(f"{spec.name}.l{i}.W", (in_w, out_w), "xavier")
-        store.create(f"{spec.name}.l{i}.b", (1, out_w), "zeros")
-        last = i == len(spec.widths) - 1
-        if spec.use_group_norm and not last:
-            store.create(f"{spec.name}.l{i}.gn.gamma", (1, out_w), "ones")
-            store.create(f"{spec.name}.l{i}.gn.beta", (1, out_w), "zeros")
-        in_w = out_w
+    init_mlp(store, f"{spec.name}.l", spec.input_width, spec.widths)
 
 
 def head_forward(spec: HeadSpec, leaves: dict[str, Tensor], x: Tensor) -> Tensor:
@@ -58,20 +80,7 @@ def head_forward(spec: HeadSpec, leaves: dict[str, Tensor], x: Tensor) -> Tensor
     if x.data.ndim != 2 or x.data.shape[1] != spec.input_width:
         raise HeadError(
             f"head {spec.name!r} expects width {spec.input_width}, got {x.data.shape}")
-    h = x
-    for i in range(len(spec.widths)):
-        w = leaves[f"{spec.name}.l{i}.W"]
-        b = leaves[f"{spec.name}.l{i}.b"]
-        if h.data.shape[1] != w.data.shape[0]:
-            raise HeadError(f"width mismatch at layer {spec.name}.l{i}")
-        h = ad.add(ad.matmul(h, w), b)
-        last = i == len(spec.widths) - 1
-        if not last:
-            if spec.use_group_norm:
-                h = ad.group_norm(h, leaves[f"{spec.name}.l{i}.gn.gamma"],
-                                  leaves[f"{spec.name}.l{i}.gn.beta"])
-            h = ad.relu(h)
-    return h
+    return mlp(leaves, f"{spec.name}.l", x, len(spec.widths))
 
 
 def location_input(nbox: NormalizedBox, confidence: float | None = None,

@@ -66,24 +66,19 @@ class AssocModel:
 
     def __init__(self, cfg: ModelConfig, store: ParameterStore | None = None):
         self.cfg = cfg
-        d = cfg.descriptor_dim
-        self.sem_spec = heads.mlp_head_spec("sem", cfg.semantic_dim,
-                                            cfg.head_hidden, 5, d)
-        self.loc_spec = heads.mlp_head_spec("loc", cfg.location_width,
-                                            cfg.head_hidden, 5, d)
-        self.app_spec = heads.mlp_head_spec("app", cfg.appearance_dim,
-                                            cfg.head_hidden, 5, d)
+        self.head_specs = tuple(
+            heads.mlp_head_spec(name, width, cfg.head_hidden, 5, cfg.descriptor_dim)
+            for name, width in (("sem", cfg.semantic_dim),
+                                ("loc", cfg.location_width),
+                                ("app", cfg.appearance_dim)))
         self.store = store if store is not None else ParameterStore(cfg.seed)
         self._init_params()
 
     def _init_params(self):
-        heads.init_head(self.sem_spec, self.store)
-        heads.init_head(self.loc_spec, self.store)
-        heads.init_head(self.app_spec, self.store)
+        for spec in self.head_specs:
+            heads.init_head(spec, self.store)
         stog.init_stog(self.cfg.stog, self.store)
-        if "dustbin" not in self.store.entries:
-            self.store.create("dustbin", (1, 1), "zeros")
-            self.store.entries["dustbin"][0, 0] = 1.0  # learnable bin score, init 1
+        self.store.create("dustbin", (1, 1), "ones")  # learnable bin score
 
     # -- embedding --------------------------------------------------------
 
@@ -104,16 +99,14 @@ class AssocModel:
         a disabled cue fuses as a zero vector."""
         if not dets:
             raise ModelError("cannot embed an empty detection list")
-        sem_in, loc_in, app_in = self.cue_inputs(dets, image_h, image_w)
-        n, d = len(dets), self.cfg.descriptor_dim
-        zero = ad.constant(np.zeros((n, d)))
-        e_sem = heads.head_forward(self.sem_spec, leaves, ad.constant(sem_in)) \
-            if self.cfg.use_semantic else zero
-        e_loc = heads.head_forward(self.loc_spec, leaves, ad.constant(loc_in)) \
-            if self.cfg.use_location else zero
-        e_app = heads.head_forward(self.app_spec, leaves, ad.constant(app_in)) \
-            if self.cfg.use_appearance else zero
-        return heads.fuse(e_sem, e_loc, e_app)
+        cfg = self.cfg
+        zero = ad.constant(np.zeros((len(dets), cfg.descriptor_dim)))
+        enabled = (cfg.use_semantic, cfg.use_location, cfg.use_appearance)
+        return heads.fuse(*(
+            heads.head_forward(spec, leaves, ad.constant(x)) if on else zero
+            for spec, x, on in zip(self.head_specs,
+                                   self.cue_inputs(dets, image_h, image_w),
+                                   enabled)))
 
     # -- pair forward -------------------------------------------------------
 

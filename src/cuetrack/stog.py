@@ -1,6 +1,6 @@
 """Spatial-temporal object graph: alternating intra-frame self-attention
 and inter-frame cross-attention over object descriptors, each followed by
-a residual concat-MLP refinement."""
+a residual concat-MLP refinement (the MLP of ``heads``)."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import heads
 from .autodiff import ParameterStore, Tensor
 
 
@@ -43,14 +44,7 @@ def init_stog(cfg: StogConfig, store: ParameterStore) -> None:
         p = f"stog.l{i}"
         for proj in ("Wq", "Wk", "Wv", "Wo"):
             store.create(f"{p}.{proj}", (d, d), "xavier")
-        in_w = 2 * d
-        for j, out_w in enumerate(cfg.refine):
-            store.create(f"{p}.mlp{j}.W", (in_w, out_w), "xavier")
-            store.create(f"{p}.mlp{j}.b", (1, out_w), "zeros")
-            if j < len(cfg.refine) - 1:
-                store.create(f"{p}.mlp{j}.gn.gamma", (1, out_w), "ones")
-                store.create(f"{p}.mlp{j}.gn.beta", (1, out_w), "zeros")
-            in_w = out_w
+        heads.init_mlp(store, f"{p}.mlp", 2 * d, cfg.refine)
 
 
 def attention(queries_from: Tensor, keys_values_from: Tensor,
@@ -80,19 +74,6 @@ def attention(queries_from: Tensor, keys_values_from: Tensor,
     return ad.matmul(merged, leaves[f"{prefix}.Wo"])
 
 
-def _refine_mlp(x: Tensor, msg: Tensor, leaves: dict[str, Tensor],
-                prefix: str, n_layers: int) -> Tensor:
-    h = ad.concat_cols([x, msg])
-    for j in range(n_layers):
-        h = ad.add(ad.matmul(h, leaves[f"{prefix}.mlp{j}.W"]),
-                   leaves[f"{prefix}.mlp{j}.b"])
-        if j < n_layers - 1:
-            h = ad.group_norm(h, leaves[f"{prefix}.mlp{j}.gn.gamma"],
-                              leaves[f"{prefix}.mlp{j}.gn.beta"])
-            h = ad.relu(h)
-    return h
-
-
 def propagation_layer(key: Tensor, ref: Tensor, mode: str,
                       leaves: dict[str, Tensor], prefix: str,
                       cfg: StogConfig) -> tuple[Tensor, Tensor]:
@@ -106,10 +87,12 @@ def propagation_layer(key: Tensor, ref: Tensor, mode: str,
         msg_ref = attention(ref, key, leaves, prefix, cfg.num_heads)
     else:
         raise StogError(f"unknown propagation mode {mode!r}")
-    n = len(cfg.refine)
-    out_key = ad.add(key, _refine_mlp(key, msg_key, leaves, prefix, n))
-    out_ref = ad.add(ref, _refine_mlp(ref, msg_ref, leaves, prefix, n))
-    return out_key, out_ref
+
+    def refine(x: Tensor, msg: Tensor) -> Tensor:
+        return ad.add(x, heads.mlp(leaves, f"{prefix}.mlp",
+                                   ad.concat_cols([x, msg]), len(cfg.refine)))
+
+    return refine(key, msg_key), refine(ref, msg_ref)
 
 
 def stog_forward(key: Tensor, ref: Tensor, cfg: StogConfig,

@@ -200,10 +200,10 @@ def _train_step(asm: AssocModel, batch, cfg: TrainConfig,
                 image_h: float, image_w: float) -> float | None:
     store = asm.store
     store.zero_grads()
+    leaves = store.leaves()
     total_loss = 0.0
     n_used = 0
     for key, ref in batch:
-        leaves = store.leaves()
         loss = _pair_loss(asm, key, ref, cfg, image_h, image_w, leaves)
         if loss is None:
             continue

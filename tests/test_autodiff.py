@@ -139,19 +139,11 @@ class TestTapeMechanics:
 
     def test_backward_repeats_after_reset(self):
         a = Tensor(np.array([[3.0]]), requires_grad=True)
-        out = scale(a, 2.0)
-        out.backward()
+        scale(a, 2.0).backward()
         first = a.grad.copy()
-        out.zero_grad_tree()
-        out.backward()
+        a.grad = None
+        scale(a, 2.0).backward()
         assert np.allclose(a.grad, first) and np.allclose(first, [[2.0]])
-
-    def test_zero_grad_tree(self):
-        a = Tensor(np.array([[3.0]]), requires_grad=True)
-        out = scale(a, 2.0)
-        out.backward()
-        out.zero_grad_tree()
-        assert a.grad is None or np.allclose(a.grad, 0.0)
 
     def test_constant_is_not_a_trainable_leaf(self):
         c = constant(np.ones((2, 2)))
@@ -197,6 +189,25 @@ class TestParameterStore:
     def test_unknown_init_raises(self):
         with pytest.raises(AutodiffError):
             ParameterStore().create("w", (2, 2), init="lecun")
+
+    def test_existing_entry_must_match_shape(self):
+        s = ParameterStore(seed=5)
+        w = s.create("w", (2, 3))
+        assert s.create("w", (2, 3), init="zeros") is w
+        with pytest.raises(AutodiffError,
+                           match=r"parameter w has shape \(2, 3\), "
+                                 r"the model needs \(3, 3\)"):
+            s.create("w", (3, 3))
+
+    def test_harvest_clears_leaf_grads_for_reuse(self):
+        s = ParameterStore(seed=5)
+        s.create("w", (1, 1), init="ones")
+        leaves = s.leaves()
+        for k in (2.0, 3.0):
+            scale(leaves["w"], k).backward()
+            s.harvest(leaves)
+            assert leaves["w"].grad is None
+        assert np.array_equal(s.grads["w"], [[5.0]])
 
     def test_grad_check_on_small_mlp(self):
         store = ParameterStore(seed=1)

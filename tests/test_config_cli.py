@@ -98,6 +98,29 @@ class TestConfig:
         assert cfg.tracker_config().match_score_thr == 0.2
         assert cfg.tracker_config().memo_length_s == 10.0
 
+    def test_bool_field_takes_only_a_bool(self):
+        cfg = load_config(overrides={"train.gt_only": "False"})
+        with pytest.raises(ConfigError, match=r"train\.gt_only must be true"):
+            cfg.train_config()
+        with pytest.raises(ConfigError, match=r"cues\.temporal must be true"):
+            load_config(overrides={"cues.temporal": "False"})
+        cfg = load_config(overrides={"train.gt_only": "true",
+                                     "cues.temporal": "false"})
+        assert cfg.train_config().gt_only
+        assert not cfg.model_config().use_temporal
+
+    def test_int_field_takes_only_an_integral_number(self):
+        for value in ("32.5", "true", '"32"'):
+            cfg = load_config(overrides={"model.descriptor_dim": value})
+            with pytest.raises(ConfigError,
+                               match=r"model\.descriptor_dim must be an integer"):
+                cfg.model_config()
+        cfg = load_config(overrides={"model.descriptor_dim": "16.0"})
+        assert cfg.model_config().descriptor_dim == 16
+        for key in ("seed", "num_sequences"):
+            with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+                load_config(overrides={key: "3.5"})
+
     def test_all_cues_disabled_rejected(self):
         with pytest.raises(ConfigError):
             load_config(overrides={"cues.semantic": "false",
@@ -195,8 +218,27 @@ class TestCli:
         assert "class_motion_summary.csv" in names
         assert any(n.endswith("_displacement_kde.csv") for n in names)
 
-    def test_tracker_flag_shortcuts(self, tmp_path, capsys):
+    def test_track_rejects_checkpoint_of_another_width(self, tmp_path, capsys):
         data = str(tmp_path / "data")
-        assert main(["simulate", "--out", data, "--num-sequences", "1",
-                     "--match-score-thr", "0.4", "--memo-length-s", "6",
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["simulate", "--out", data, "--num-sequences", "2",
                      *FAST]) == 0
+        assert main(["train", "--data", data, "--out", ckpt, *FAST]) == 0
+        capsys.readouterr()
+        rc = main(["track", "--ckpt", ckpt, "--data", data,
+                   "--out", str(tmp_path / "r.csv"), *FAST,
+                   "--set", "model.descriptor_dim=16"])
+        assert rc == 1
+        assert "parameter sem.l4.W has shape (16, 8), the model needs " \
+            "(16, 16)" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r.csv")
+
+    def test_mistyped_bool_or_int_exits_2(self, tmp_path, capsys):
+        for override, message in (
+                ("cues.temporal=False", "cues.temporal must be true or false"),
+                ("scene.objects_per_class=2.5",
+                 "scene.objects_per_class must be an integer")):
+            rc = main(["simulate", "--out", str(tmp_path / "d"),
+                       "--set", override])
+            assert rc == 2
+            assert message in capsys.readouterr().err

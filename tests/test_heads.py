@@ -34,9 +34,8 @@ def _np_head(spec, store, x):
         b = store.entries[f"{spec.name}.l{i}.b"]
         h = h @ w + b
         if i < len(spec.widths) - 1:
-            if spec.use_group_norm:
-                h = _np_group_norm(h, store.entries[f"{spec.name}.l{i}.gn.gamma"],
-                                   store.entries[f"{spec.name}.l{i}.gn.beta"])
+            h = _np_group_norm(h, store.entries[f"{spec.name}.l{i}.gn.gamma"],
+                               store.entries[f"{spec.name}.l{i}.gn.beta"])
             h = np.maximum(h, 0.0)
     return h
 

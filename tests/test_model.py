@@ -59,8 +59,7 @@ class TestEmbedding:
         leaves = full.store.leaves()
         e_sem, e_loc, e_app = (
             heads.head_forward(spec, leaves, constant(x)).data
-            for spec, x in zip((full.sem_spec, full.loc_spec, full.app_spec),
-                               full.cue_inputs(dets, H, W)))
+            for spec, x in zip(full.head_specs, full.cue_inputs(dets, H, W)))
         assert np.allclose(e_no, e_sem + e_loc, atol=1e-12)
         assert np.allclose(e_full - e_no, e_app, atol=1e-12)
 
