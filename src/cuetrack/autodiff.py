@@ -385,7 +385,7 @@ class ParameterStore:
                     f"the model needs {shape}")
             return self.entries[name]
         if init == "xavier":
-            fan_in = shape[0] if len(shape) > 1 else shape[0]
+            fan_in = shape[0]
             fan_out = shape[1] if len(shape) > 1 else shape[0]
             a = np.sqrt(6.0 / (fan_in + fan_out))
             arr = _name_seed(self.seed, name).uniform(-a, a, size=shape)

@@ -39,8 +39,7 @@ def _build_config(args) -> RunConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _build_config(args)
-    scene = cfg.scene_config()
-    sequences = simulator.generate_dataset(scene, cfg["num_sequences"],
+    sequences = simulator.generate_dataset(cfg.scene, cfg.num_sequences,
                                            seed=cfg.seed)
     simulator.write_dataset(sequences, args.out)
     print(f"wrote {len(sequences)} sequences to {args.out}")
@@ -50,10 +49,9 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     dataset = simulator.read_dataset(args.data)
-    scene = cfg.scene_config()
-    asm = AssocModel(cfg.model_config())
-    history = training.train(dataset, cfg.train_config(), asm,
-                             scene.image_h, scene.image_w,
+    asm = AssocModel(cfg.model)
+    history = training.train(dataset, cfg.train, asm,
+                             cfg.scene.image_h, cfg.scene.image_w,
                              log_every=args.log_every)
     autodiff.save_checkpoint(asm.store, args.out)
     loss_path = args.loss_csv or (os.path.splitext(args.out)[0] + "_loss.csv")
@@ -70,12 +68,11 @@ def cmd_track(args) -> int:
         print(f"checkpoint not found: {args.ckpt}", file=sys.stderr)
         return 2
     store = autodiff.load_checkpoint(args.ckpt)
-    asm = AssocModel(cfg.model_config(), store=store)
-    scene = cfg.scene_config()
+    asm = AssocModel(cfg.model, store=store)
     dataset = simulator.read_dataset(args.data)
-    tcfg = cfg.tracker_config()
     seq_rows = [tracker.track_sequence([(f.time_s, f.detections) for f in frames],
-                                       asm, tcfg, scene.image_h, scene.image_w)
+                                       asm, cfg.tracker, cfg.scene.image_h,
+                                       cfg.scene.image_w)
                 for frames in dataset]
     rows, _ = metrics.pool_sequences(dataset, seq_rows)
     tracker.write_results(rows, args.out)

@@ -5,6 +5,7 @@ Each section's keys, defaults and value types are the fields of its
 dataclass (``ModelConfig``, ``SceneConfig``, ``TrainConfig``,
 ``TrackerConfig``). The ``cues``, ``mode``, top-level ``seed`` and
 ``scene.*_dim`` keys fill the ``ModelConfig`` fields of the same meaning.
+``load_config`` builds and checks all four sections before it returns.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from typing import Any
 
 import yaml
 
-from .model import ModelConfig, paper_preset
-from .simulator import SceneConfig
-from .tracker import TrackerConfig
-from .training import TrainConfig
+from .model import ModelConfig, ModelError, paper_preset
+from .simulator import SceneConfig, SimulatorError
+from .tracker import TrackerConfig, TrackerError
+from .training import TrainConfig, TrainingError
 
 
 class ConfigError(Exception):
@@ -87,7 +88,11 @@ def _cast(hint, value, where: str):
                 or isinstance(value, float) and value.is_integer()):
             raise ConfigError(f"{where} must be an integer, got {value!r}")
         return int(value)
-    return hint(value)
+    try:
+        return hint(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{where} must be a {hint.__name__}, got {value!r}") from None
 
 
 def _build(cls, values: dict[str, Any], where: str):
@@ -102,39 +107,22 @@ def _build(cls, values: dict[str, Any], where: str):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"missing key {where + '.' + missing[0]!r}")
-    return cls(**{k: _cast(hints[k], v, f"{where}.{k}")
-                  for k, v in values.items()})
+    kwargs = {k: _cast(hints[k], v, f"{where}.{k}") for k, v in values.items()}
+    try:
+        return cls(**kwargs)
+    except (ModelError, SimulatorError, TrainingError, TrackerError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    data: dict[str, Any]
-
-    def __getitem__(self, key):
-        return self.data[key]
-
-    @property
-    def seed(self) -> int:
-        return self.data["seed"]
-
-    def scene_config(self) -> SceneConfig:
-        return _build(SceneConfig, dict(self.data["scene"], seed=self.seed),
-                      "scene")
-
-    def model_config(self) -> ModelConfig:
-        d = self.data
-        values = dict(d["model"], semantic_dim=d["scene"]["semantic_dim"],
-                      appearance_dim=d["scene"]["appearance_dim"],
-                      closed_set=d["mode"] == "closed", seed=self.seed,
-                      **{f"use_{c}": d["cues"][c] for c in _CUES})
-        return _build(ModelConfig, values, "model")
-
-    def train_config(self) -> TrainConfig:
-        return _build(TrainConfig, dict(self.data["train"], seed=self.seed),
-                      "train")
-
-    def tracker_config(self) -> TrackerConfig:
-        return _build(TrackerConfig, self.data["tracker"], "tracker")
+    preset: str
+    seed: int
+    num_sequences: int
+    scene: SceneConfig
+    model: ModelConfig
+    train: TrainConfig
+    tracker: TrackerConfig
 
 
 def _merge_checked(base: dict, update: dict, path: str = "") -> None:
@@ -158,10 +146,12 @@ def _parse_scalar(text: str):
 
 def load_config(path: str | None = None,
                 overrides: dict[str, Any] | None = None) -> RunConfig:
-    """Defaults + optional config file + dotted-path flag overrides.
+    """Defaults + optional config file + dotted-path flag overrides, built
+    into every section's dataclass.
 
-    Unknown keys are rejected with the offending key named. The "paper"
-    preset pins the published model/tracker values after merging.
+    Unknown keys and bad values raise ``ConfigError`` naming the key or
+    the section. The "paper" preset pins the published model/tracker
+    values after merging.
     """
     data = copy.deepcopy(_DESK_DEFAULTS)
     if path is not None:
@@ -188,9 +178,17 @@ def load_config(path: str | None = None,
     if data["preset"] == "paper":
         for section, forced in _PAPER_FORCED.items():
             data[section].update(copy.deepcopy(forced))
-    for key in ("seed", "num_sequences"):
-        data[key] = _cast(int, data[key], key)
+    seed = _cast(int, data["seed"], "seed")
     cues = {c: _cast(bool, data["cues"][c], f"cues.{c}") for c in _CUES}
-    if not (cues["semantic"] or cues["location"] or cues["appearance"]):
-        raise ConfigError("all cues disabled: nothing to match on")
-    return RunConfig(data)
+    scene = data["scene"]
+    model = dict(data["model"], semantic_dim=scene["semantic_dim"],
+                 appearance_dim=scene["appearance_dim"],
+                 closed_set=data["mode"] == "closed", seed=seed,
+                 **{f"use_{c}": on for c, on in cues.items()})
+    return RunConfig(
+        data["preset"], seed,
+        _cast(int, data["num_sequences"], "num_sequences"),
+        scene=_build(SceneConfig, dict(scene, seed=seed), "scene"),
+        model=_build(ModelConfig, model, "model"),
+        train=_build(TrainConfig, dict(data["train"], seed=seed), "train"),
+        tracker=_build(TrackerConfig, data["tracker"], "tracker"))

@@ -29,10 +29,6 @@ class HeadSpec:
     input_width: int
     widths: tuple[int, ...]
 
-    @property
-    def output_width(self) -> int:
-        return self.widths[-1]
-
 
 def mlp_head_spec(name: str, input_width: int, hidden: int, depth: int,
                   out: int) -> HeadSpec:
@@ -47,17 +43,21 @@ def _layer_names(prefix: str, i: int) -> tuple[str, str, str, str]:
 
 
 def init_mlp(store: ParameterStore, prefix: str, in_w: int,
-             widths: tuple[int, ...]) -> None:
+             widths: tuple[int, ...]) -> list[str]:
     """Weight and bias for every layer, group-norm gain and shift for all
-    but the last."""
+    but the last; returns the parameter names."""
+    names = []
     for i, out_w in enumerate(widths):
         w, b, gamma, beta = _layer_names(prefix, i)
         store.create(w, (in_w, out_w), "xavier")
         store.create(b, (1, out_w), "zeros")
+        names += [w, b]
         if i < len(widths) - 1:
             store.create(gamma, (1, out_w), "ones")
             store.create(beta, (1, out_w), "zeros")
+            names += [gamma, beta]
         in_w = out_w
+    return names
 
 
 def mlp(leaves: dict[str, Tensor], prefix: str, x: Tensor, depth: int) -> Tensor:
@@ -71,8 +71,8 @@ def mlp(leaves: dict[str, Tensor], prefix: str, x: Tensor, depth: int) -> Tensor
     return x
 
 
-def init_head(spec: HeadSpec, store: ParameterStore) -> None:
-    init_mlp(store, f"{spec.name}.l", spec.input_width, spec.widths)
+def init_head(spec: HeadSpec, store: ParameterStore) -> list[str]:
+    return init_mlp(store, f"{spec.name}.l", spec.input_width, spec.widths)
 
 
 def head_forward(spec: HeadSpec, leaves: dict[str, Tensor], x: Tensor) -> Tensor:

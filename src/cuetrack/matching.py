@@ -20,8 +20,6 @@ class MatchingError(Exception):
 @dataclass
 class TransportPlan:
     values: np.ndarray           # (M+1, N+1), strictly positive
-    marginals_row: np.ndarray    # length M+1
-    marginals_col: np.ndarray    # length N+1
 
     @property
     def real(self) -> np.ndarray:
@@ -111,9 +109,7 @@ def sinkhorn(logits_aug: np.ndarray, marginals_row: np.ndarray,
     """Plan values of the ``sinkhorn_log`` node over constant logits."""
     log_plan = sinkhorn_log(ad.constant(logits_aug), marginals_row,
                             marginals_col, iters)
-    return TransportPlan(values=np.exp(log_plan.data),
-                         marginals_row=np.asarray(marginals_row, dtype=np.float64),
-                         marginals_col=np.asarray(marginals_col, dtype=np.float64))
+    return TransportPlan(values=np.exp(log_plan.data))
 
 
 def uniform_dustbin_marginals(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -39,16 +39,21 @@ class ModelConfig:
     def __post_init__(self):
         if not (self.use_semantic or self.use_location or self.use_appearance):
             raise ModelError("at least one cue must be enabled")
+        if self.descriptor_dim % self.num_heads != 0:
+            raise ModelError(f"descriptor_dim {self.descriptor_dim} not "
+                             f"divisible by {self.num_heads} heads")
 
     @property
     def location_width(self) -> int:
         return 5 if self.closed_set else 4
 
     @property
-    def stog(self) -> stog.StogConfig:
-        return stog.StogConfig(dim=self.descriptor_dim, num_layers=self.num_layers,
-                               num_heads=self.num_heads,
-                               refine_widths=self.refine_widths)
+    def refine(self) -> tuple[int, ...]:
+        """Widths of each STOG layer's refine MLP; (2d, 2d, d) unless set."""
+        if self.refine_widths is not None:
+            return self.refine_widths
+        d = self.descriptor_dim
+        return (2 * d, 2 * d, d)
 
 
 def paper_preset(**overrides) -> ModelConfig:
@@ -61,8 +66,25 @@ def paper_preset(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
+def _cue_rows(cue: str, vecs: list[np.ndarray], width: int) -> np.ndarray:
+    """One cue's vectors stacked into the (N, width) input of its head."""
+    try:
+        rows = np.stack(vecs)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape[1:] != (width,):
+        bad = next(v for v in vecs if np.shape(v) != (width,))
+        raise ModelError(f"{cue} vector of width {np.size(bad)}, the "
+                         f"model needs {width}")
+    return rows
+
+
 class AssocModel:
-    """Owns the parameter store and runs frame-pair forwards."""
+    """Owns the parameter store and runs frame-pair forwards.
+
+    A given store (a loaded checkpoint) must hold exactly the parameters
+    the model creates, each of the shape the model needs.
+    """
 
     def __init__(self, cfg: ModelConfig, store: ParameterStore | None = None):
         self.cfg = cfg
@@ -72,25 +94,37 @@ class AssocModel:
                                 ("loc", cfg.location_width),
                                 ("app", cfg.appearance_dim)))
         self.store = store if store is not None else ParameterStore(cfg.seed)
-        self._init_params()
+        given = set(self.store.entries)
+        names = self._init_params()
+        if store is not None and names != given:
+            name = min(names ^ given)
+            raise ModelError(
+                f"parameter {name} is missing from the checkpoint" if name in names
+                else f"checkpoint parameter {name} is not a parameter of the model")
 
-    def _init_params(self):
+    def _init_params(self) -> set[str]:
+        """Create every parameter; returns their names."""
+        names = set()
         for spec in self.head_specs:
-            heads.init_head(spec, self.store)
-        stog.init_stog(self.cfg.stog, self.store)
+            names.update(heads.init_head(spec, self.store))
+        names.update(stog.init_stog(self.cfg, self.store))
         self.store.create("dustbin", (1, 1), "ones")  # learnable bin score
+        return names | {"dustbin"}
 
     # -- embedding --------------------------------------------------------
 
     def cue_inputs(self, dets: list[Detection], image_h: float,
                    image_w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        sem = np.stack([d.semantic_vec for d in dets])
+        cfg = self.cfg
+        sem = _cue_rows("semantic", [d.semantic_vec for d in dets],
+                        cfg.semantic_dim)
         loc = np.stack([
             heads.location_input(normalize_box(d.box, image_h, image_w),
                                  confidence=d.score,
-                                 closed_set=self.cfg.closed_set)
+                                 closed_set=cfg.closed_set)
             for d in dets])
-        app = np.stack([d.appearance_vec for d in dets])
+        app = _cue_rows("appearance", [d.appearance_vec for d in dets],
+                        cfg.appearance_dim)
         return sem, loc, app
 
     def embed(self, dets: list[Detection], image_h: float, image_w: float,
@@ -116,8 +150,8 @@ class AssocModel:
         """Fused descriptors -> STOG -> scores -> dustbin -> log transport plan."""
         if self.cfg.use_temporal:
             key_fused, ref_fused = heads.temporal_encode(key_fused, ref_fused)
-        key_out, ref_out = stog.stog_forward(key_fused, ref_fused,
-                                             self.cfg.stog, leaves)
+        key_out, ref_out = stog.stog_forward(key_fused, ref_fused, self.cfg,
+                                             leaves)
         scores = matching.score_matrix(key_out, ref_out)
         aug = matching.augment_dustbin(scores, leaves["dustbin"])
         m, n = scores.data.shape

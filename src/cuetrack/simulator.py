@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, class_agnostic_nms
+from .geometry import Box, GeometryError, class_agnostic_nms
 
 
 class SimulatorError(Exception):
@@ -281,24 +281,71 @@ def write_sequence(frames: list[FrameSample], path: str) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
+def _finite_rows(values: list, width: int | None, what: str) -> np.ndarray:
+    """``values`` as a finite (N, width) array; ``width`` None takes any."""
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 2:
+        raise ValueError(f"{what} must be numeric vectors of one width")
+    if width is not None and arr.shape[1] != width:
+        raise ValueError(f"{what} has width {arr.shape[1]}, expected {width}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    return arr
+
+
+def _read_frame(rec, widths: dict[str, int]) -> FrameSample:
+    """One JSONL record, checked; ``widths`` keeps each cue vector's width
+    from the first record that has detections."""
+    if not isinstance(rec, dict):
+        raise ValueError("a record must be a JSON object")
+    gt = rec.get("gt")
+    raw = rec.get("detections", [])
+    boxes = [g["box"] for g in gt or ()] + [d["box"] for d in raw]
+    if boxes:
+        _finite_rows(boxes, 4, "box")
+    if gt is not None:
+        gt = [(g["id"], Box(*g["box"]), g.get("class", -1)) for g in gt]
+    dets = []
+    if raw:
+        scores = np.array([d["score"] for d in raw], dtype=np.float64)
+        if not ((scores >= 0.0) & (scores <= 1.0)).all():  # NaN fails too
+            raise ValueError("detection score must lie in [0, 1]")
+        sem, app = (_finite_rows([d[key] for d in raw], widths.get(key), key)
+                    for key in ("semantic_vec", "appearance_vec"))
+        widths.setdefault("semantic_vec", sem.shape[1])
+        widths.setdefault("appearance_vec", app.shape[1])
+        dets = [Detection(Box(*d["box"]), float(d["score"]), s, a,
+                          int(d.get("class", -1)))
+                for d, s, a in zip(raw, sem, app)]
+    time_s = float(rec["time_s"])
+    if not np.isfinite(time_s):
+        raise ValueError("time_s must be finite")
+    return FrameSample(frame_id=int(rec["frame"]), time_s=time_s,
+                       detections=dets, gt=gt)
+
+
 def read_sequence(path: str) -> list[FrameSample]:
+    """Frames of one JSONL file; a malformed record raises
+    ``SimulatorError`` naming ``path:line``."""
     frames: list[FrameSample] = []
+    widths: dict[str, int] = {}
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            gt = rec.get("gt")
-            if gt is not None:
-                gt = [(g["id"], Box(*g["box"]), g.get("class", -1)) for g in gt]
-            dets = [Detection(Box(*d["box"]), float(d["score"]),
-                              np.asarray(d["semantic_vec"], dtype=np.float64),
-                              np.asarray(d["appearance_vec"], dtype=np.float64),
-                              int(d.get("class", -1)))
-                    for d in rec.get("detections", [])]
-            frames.append(FrameSample(frame_id=int(rec["frame"]),
-                                      time_s=float(rec["time_s"]),
-                                      detections=dets, gt=gt))
+            try:
+                frame = _read_frame(json.loads(line), widths)
+                if frames and frame.time_s <= frames[-1].time_s:
+                    raise ValueError(f"time_s {frame.time_s} does not follow "
+                                     f"{frames[-1].time_s}")
+            except KeyError as exc:
+                raise SimulatorError(f"{path}:{lineno}: missing key {exc}") from None
+            except (TypeError, ValueError, GeometryError) as exc:
+                raise SimulatorError(f"{path}:{lineno}: {exc}") from None
+            frames.append(frame)
     return frames
 
 

@@ -4,7 +4,7 @@ a residual concat-MLP refinement (the MLP of ``heads``)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -12,39 +12,25 @@ from . import autodiff as ad
 from . import heads
 from .autodiff import ParameterStore, Tensor
 
+if TYPE_CHECKING:
+    from .model import ModelConfig
+
 
 class StogError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class StogConfig:
-    dim: int = 32
-    num_layers: int = 4
-    num_heads: int = 4
-    refine_widths: tuple[int, ...] | None = None  # defaults to (2d, 2d, d)
-
-    def __post_init__(self):
-        if self.dim % self.num_heads != 0:
-            raise StogError(f"dim {self.dim} not divisible by {self.num_heads} heads")
-
-    @property
-    def refine(self) -> tuple[int, ...]:
-        if self.refine_widths is not None:
-            return self.refine_widths
-        return (2 * self.dim, 2 * self.dim, self.dim)
-
-    def layer_mode(self, i: int) -> str:
-        return "self" if i % 2 == 0 else "cross"
-
-
-def init_stog(cfg: StogConfig, store: ParameterStore) -> None:
-    d = cfg.dim
+def init_stog(cfg: ModelConfig, store: ParameterStore) -> list[str]:
+    """Create every layer's parameters; returns their names."""
+    d = cfg.descriptor_dim
+    names = []
     for i in range(cfg.num_layers):
         p = f"stog.l{i}"
         for proj in ("Wq", "Wk", "Wv", "Wo"):
             store.create(f"{p}.{proj}", (d, d), "xavier")
-        heads.init_mlp(store, f"{p}.mlp", 2 * d, cfg.refine)
+            names.append(f"{p}.{proj}")
+        names += heads.init_mlp(store, f"{p}.mlp", 2 * d, cfg.refine)
+    return names
 
 
 def attention(queries_from: Tensor, keys_values_from: Tensor,
@@ -76,7 +62,7 @@ def attention(queries_from: Tensor, keys_values_from: Tensor,
 
 def propagation_layer(key: Tensor, ref: Tensor, mode: str,
                       leaves: dict[str, Tensor], prefix: str,
-                      cfg: StogConfig) -> tuple[Tensor, Tensor]:
+                      cfg: ModelConfig) -> tuple[Tensor, Tensor]:
     """One residual attention layer updating both frames with shared
     weights: out = in + MLP(concat(in, message))."""
     if mode == "self":
@@ -95,12 +81,13 @@ def propagation_layer(key: Tensor, ref: Tensor, mode: str,
     return refine(key, msg_key), refine(ref, msg_ref)
 
 
-def stog_forward(key: Tensor, ref: Tensor, cfg: StogConfig,
+def stog_forward(key: Tensor, ref: Tensor, cfg: ModelConfig,
                  leaves: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Alternating self/cross schedule over cfg.num_layers layers."""
+    """Alternating self/cross schedule over cfg.num_layers layers,
+    starting with self-attention."""
     if key.data.shape[0] == 0 or ref.data.shape[0] == 0:
         raise StogError("empty frame")
     for i in range(cfg.num_layers):
-        key, ref = propagation_layer(key, ref, cfg.layer_mode(i), leaves,
-                                     f"stog.l{i}", cfg)
+        key, ref = propagation_layer(key, ref, "cross" if i % 2 else "self",
+                                     leaves, f"stog.l{i}", cfg)
     return key, ref

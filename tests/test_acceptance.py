@@ -5,7 +5,8 @@ detection-channel training gains, tracker memory behavior, attention
 equivariance and the motion-analysis pipeline.
 
 Each test prints one PASS/FAIL line. The benchmark arms (criteria 6 and 7)
-train four models on the shared scene; everything else is fast.
+train four models on the shared scene, and one more test pins their
+reports; everything else is fast.
 """
 import contextlib
 import hashlib
@@ -26,11 +27,11 @@ from cuetrack.geometry import Box, normalize_box
 from cuetrack.heads import head_forward, init_head, mlp_head_spec
 from cuetrack.matching import (association_loss, hungarian, sinkhorn,
                                uniform_dustbin_marginals)
-from cuetrack.metrics import class_motion_report, kde
+from cuetrack.metrics import EvalReport, class_motion_report, kde
 from cuetrack.model import AssocModel, ModelConfig
 from cuetrack.simulator import (AbsenceWindow, ClassProfile, NoiseConfig,
                                 SceneConfig, generate)
-from cuetrack.stog import StogConfig, init_stog, stog_forward
+from cuetrack.stog import init_stog, stog_forward
 from cuetrack.tracker import TrackerConfig, dynamic_threshold, track_sequence
 from cuetrack.training import TrainConfig, train
 
@@ -132,7 +133,8 @@ def test_01_gradient_correctness():
                 store, h=1e-5))
 
         # -- one full attention layer --------------------------------------
-        scfg = StogConfig(dim=4, num_layers=1, num_heads=2, refine_widths=(8, 4))
+        scfg = ModelConfig(descriptor_dim=4, num_layers=1, num_heads=2,
+                           refine_widths=(8, 4))
         store = ParameterStore(seed=3)
         init_stog(scfg, store)
         xk = constant(rng.normal(size=(3, 4)))
@@ -274,6 +276,18 @@ def test_07_detection_channel_training_direction(benchmark_arms):
         assert dat - gt >= 0.02
 
 
+def test_ablation_reports_pinned(benchmark_arms):
+    """Each arm's full evaluation report is pinned: a refactor must leave
+    the trained models, and so every count and accuracy, unchanged."""
+    expect = {
+        "full": EvalReport(0.9651795429815017, 95, 354, 94),
+        "loc_only": EvalReport(0.20837867247007616, 1580, 3451, 94),
+        "app_only": EvalReport(0.5038084874863983, 996, 342, 94),
+        "gt_only": EvalReport(0.926550598476605, 173, 301, 94),
+    }
+    assert {name: arm.report for name, arm in benchmark_arms.items()} == expect
+
+
 def _absence_run(gap_s):
     """Track a clean two-object scene where object 0 vanishes for gap_s
     seconds; returns (id before absence, id after reappearance)."""
@@ -358,8 +372,8 @@ def test_09_stog_permutation_equivariance():
     """50 random instances: permuting either frame's rows permutes the
     outputs within 1e-9."""
     with verdict("criterion 9: permutation equivariance"):
-        cfg = StogConfig(dim=8, num_layers=4, num_heads=2,
-                         refine_widths=(16, 16, 8))
+        cfg = ModelConfig(descriptor_dim=8, num_layers=4, num_heads=2,
+                          refine_widths=(16, 16, 8))
         store = ParameterStore(seed=12)
         init_stog(cfg, store)
         leaves = store.leaves()

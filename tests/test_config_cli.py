@@ -18,22 +18,22 @@ from cuetrack.training import TrainConfig
 class TestConfig:
     def test_defaults(self):
         cfg = load_config()
-        assert cfg["preset"] == "desk"
-        assert cfg.model_config().descriptor_dim == 32
-        assert cfg.tracker_config().match_score_thr == 0.2
-        assert cfg.train_config().epochs == 12
-        assert cfg.train_config().learning_rate == 0.008
-        assert cfg.train_config().weight_decay == 1e-4
-        assert cfg.train_config().batch_pairs == 16
-        assert cfg.train_config().max_interval_s == 3.0
-        assert cfg.model_config() == ModelConfig()
-        assert cfg.scene_config() == SceneConfig()
-        assert cfg.train_config() == TrainConfig()
-        assert cfg.tracker_config() == TrackerConfig()
+        assert cfg.preset == "desk"
+        assert cfg.model.descriptor_dim == 32
+        assert cfg.tracker.match_score_thr == 0.2
+        assert cfg.train.epochs == 12
+        assert cfg.train.learning_rate == 0.008
+        assert cfg.train.weight_decay == 1e-4
+        assert cfg.train.batch_pairs == 16
+        assert cfg.train.max_interval_s == 3.0
+        assert cfg.model == ModelConfig()
+        assert cfg.scene == SceneConfig()
+        assert cfg.train == TrainConfig()
+        assert cfg.tracker == TrackerConfig()
 
     def test_one_sinkhorn_iteration_count(self):
         assert load_config(overrides={"model.sinkhorn_iters": "30"}) \
-            .model_config().sinkhorn_iters == 30
+            .model.sinkhorn_iters == 30
         for key in ("train.sinkhorn_iters", "tracker.sinkhorn_iters"):
             with pytest.raises(ConfigError, match=key):
                 load_config(overrides={key: "30"})
@@ -41,20 +41,18 @@ class TestConfig:
     def test_profile_entry_keys_checked(self):
         cfg = load_config(overrides={
             "scene.profiles": '[{"class_id": 1, "speed_px_per_s": 5}]'})
-        assert cfg.scene_config().profiles == (
+        assert cfg.scene.profiles == (
             ClassProfile(1, speed_px_per_s=5.0),)
-        cfg = load_config(overrides={
-            "scene.profiles": '[{"class_id": 0, "sped": 99}]'})
         with pytest.raises(ConfigError, match=r"scene\.profiles\[0\]\.sped"):
-            cfg.scene_config()
+            load_config(overrides={
+                "scene.profiles": '[{"class_id": 0, "sped": 99}]'})
 
     def test_absence_window_keys_checked(self):
-        cfg = load_config(overrides={"scene.absence_windows":
-                                     '[{"object_index": 0, "start": 1.0,'
-                                     ' "duration_s": 2.0}]'})
         with pytest.raises(ConfigError,
                            match=r"scene\.absence_windows\[0\]\.start"):
-            cfg.scene_config()
+            load_config(overrides={"scene.absence_windows":
+                                   '[{"object_index": 0, "start": 1.0,'
+                                   ' "duration_s": 2.0}]'})
 
     def test_yaml_file_merge(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -63,14 +61,14 @@ class TestConfig:
              "train": {"epochs": 2}}))
         cfg = load_config(str(path))
         assert cfg.seed == 5
-        assert cfg.scene_config().fps == 4.0
-        assert cfg.train_config().epochs == 2
-        assert cfg.train_config().batch_pairs == 16  # untouched default
+        assert cfg.scene.fps == 4.0
+        assert cfg.train.epochs == 2
+        assert cfg.train.batch_pairs == 16  # untouched default
 
     def test_json_file_accepted(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"num_sequences": 3}))
-        assert load_config(str(path))["num_sequences"] == 3
+        assert load_config(str(path)).num_sequences == 3
 
     def test_unknown_key_rejected_with_path(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -81,8 +79,8 @@ class TestConfig:
     def test_dotted_overrides(self):
         cfg = load_config(overrides={"tracker.match_score_thr": "0.35",
                                      "scene.noise.fp_rate": "0.4"})
-        assert cfg.tracker_config().match_score_thr == 0.35
-        assert cfg.scene_config().noise.fp_rate == 0.4
+        assert cfg.tracker.match_score_thr == 0.35
+        assert cfg.scene.noise.fp_rate == 0.4
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError):
@@ -91,32 +89,30 @@ class TestConfig:
     def test_paper_preset_forces_published_values(self):
         cfg = load_config(overrides={"preset": "paper",
                                      "model.descriptor_dim": "8"})
-        m = cfg.model_config()
+        m = cfg.model
         assert m.descriptor_dim == 256
         assert m.refine_widths == (512, 512, 256)
         assert m == paper_preset()
-        assert cfg.tracker_config().match_score_thr == 0.2
-        assert cfg.tracker_config().memo_length_s == 10.0
+        assert cfg.tracker.match_score_thr == 0.2
+        assert cfg.tracker.memo_length_s == 10.0
 
     def test_bool_field_takes_only_a_bool(self):
-        cfg = load_config(overrides={"train.gt_only": "False"})
         with pytest.raises(ConfigError, match=r"train\.gt_only must be true"):
-            cfg.train_config()
+            load_config(overrides={"train.gt_only": "False"})
         with pytest.raises(ConfigError, match=r"cues\.temporal must be true"):
             load_config(overrides={"cues.temporal": "False"})
         cfg = load_config(overrides={"train.gt_only": "true",
                                      "cues.temporal": "false"})
-        assert cfg.train_config().gt_only
-        assert not cfg.model_config().use_temporal
+        assert cfg.train.gt_only
+        assert not cfg.model.use_temporal
 
     def test_int_field_takes_only_an_integral_number(self):
         for value in ("32.5", "true", '"32"'):
-            cfg = load_config(overrides={"model.descriptor_dim": value})
             with pytest.raises(ConfigError,
                                match=r"model\.descriptor_dim must be an integer"):
-                cfg.model_config()
+                load_config(overrides={"model.descriptor_dim": value})
         cfg = load_config(overrides={"model.descriptor_dim": "16.0"})
-        assert cfg.model_config().descriptor_dim == 16
+        assert cfg.model.descriptor_dim == 16
         for key in ("seed", "num_sequences"):
             with pytest.raises(ConfigError, match=f"{key} must be an integer"):
                 load_config(overrides={key: "3.5"})
@@ -129,8 +125,8 @@ class TestConfig:
 
     def test_closed_mode_widens_location_input(self):
         cfg = load_config(overrides={"mode": '"closed"'})
-        assert cfg.model_config().closed_set
-        assert cfg.model_config().location_width == 5
+        assert cfg.model.closed_set
+        assert cfg.model.location_width == 5
 
 
 FAST = [
@@ -242,3 +238,109 @@ class TestCli:
                        "--set", override])
             assert rc == 2
             assert message in capsys.readouterr().err
+
+    def test_bad_value_exits_2_before_any_data(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        for override, message in (
+                ("model.num_heads=3",
+                 "model: descriptor_dim 32 not divisible by 3 heads"),
+                ("tracker.match_score_thr=1.5",
+                 "tracker: match_score_thr must be in (0, 1)"),
+                ("train.epochs=0", "train: invalid training configuration"),
+                ("tracker.match_score_thr=abc",
+                 "tracker.match_score_thr must be a float, got 'abc'"),
+                ("scene.fps=abc", "scene.fps must be a float, got 'abc'"),
+                ("scene.fps=0", "scene: fps and duration must be positive"),
+                ('scene.profiles=[{"class_id": 0, "motion_kind": "spin"}]',
+                 "scene.profiles[0]: unknown motion kind 'spin'")):
+            assert main(["simulate", "--out", str(out),
+                         "--set", override]) == 2, override
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+            # train checks the config before it reads the (missing) data
+            assert main(["train", "--data", str(tmp_path / "none"),
+                         "--out", str(tmp_path / "m.ckpt"),
+                         "--set", override]) == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "m.ckpt").exists()
+
+    def test_track_rejects_checkpoint_of_another_layer_count(self, tmp_path,
+                                                              capsys):
+        data = str(tmp_path / "data")
+        ckpt = str(tmp_path / "model.ckpt")
+        results = tmp_path / "r.csv"
+        assert main(["simulate", "--out", data, "--num-sequences", "2",
+                     *FAST]) == 0
+        assert main(["train", "--data", data, "--out", ckpt, *FAST]) == 0
+        capsys.readouterr()
+        for layers, message in (
+                ("4", "parameter stog.l2.Wk is missing from the checkpoint"),
+                ("1", "checkpoint parameter stog.l1.Wk is not a parameter "
+                      "of the model")):
+            rc = main(["track", "--ckpt", ckpt, "--data", data,
+                       "--out", str(results), *FAST,
+                       "--set", f"model.num_layers={layers}"])
+            assert rc == 1
+            assert message in capsys.readouterr().err
+            assert not results.exists()
+
+
+def _edit_record(rec, case):
+    det = rec["detections"][0]
+    if case == "nan box":
+        det["box"][2] = float("nan")
+    elif case == "nan vector":
+        det["appearance_vec"][3] = float("nan")
+    elif case == "score":
+        det["score"] = 1.7
+    elif case == "missing box":
+        del det["box"]
+    elif case == "ragged vector":
+        det["semantic_vec"] = det["semantic_vec"][:15]
+    elif case == "time order":
+        rec["time_s"] = 0.0
+
+
+class TestJsonlInput:
+    @pytest.fixture
+    def sequence(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["simulate", "--out", str(data), "--num-sequences", "1",
+                     *FAST]) == 0
+        return (data / "seq_0000.jsonl").read_text().splitlines()
+
+    @pytest.mark.parametrize("case, message", [
+        ("nan box", "box must be finite"),
+        ("nan vector", "appearance_vec must be finite"),
+        ("score", "detection score must lie in [0, 1]"),
+        ("missing box", "missing key 'box'"),
+        ("ragged vector", "semantic_vec must be numeric vectors of one width"),
+        ("time order", "time_s 0.0 does not follow 0.0"),
+    ])
+    def test_bad_record_names_file_and_line(self, tmp_path, capsys, sequence,
+                                            case, message):
+        rec = json.loads(sequence[1])
+        _edit_record(rec, case)
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        path = bad / "seq_0000.jsonl"
+        path.write_text("\n".join([sequence[0], json.dumps(rec),
+                                   *sequence[2:]]) + "\n")
+        ckpt = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        assert main(["train", "--data", str(bad), "--out", str(ckpt),
+                     *FAST]) == 1
+        assert f"error: {path}:2: {message}" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_vector_width_must_match_the_model(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["simulate", "--out", data, "--num-sequences", "1",
+                     *FAST]) == 0
+        capsys.readouterr()
+        assert main(["train", "--data", data, "--out", str(ckpt), *FAST,
+                     "--set", "scene.appearance_dim=8"]) == 1
+        assert "appearance vector of width 16, the model needs 8" \
+            in capsys.readouterr().err
+        assert not ckpt.exists()

@@ -52,7 +52,6 @@ class TestHeadForward:
     def test_spec_shapes(self):
         spec = mlp_head_spec("loc", 4, 16, 5, 8)
         assert spec.widths == (16, 16, 16, 16, 8)
-        assert spec.output_width == 8
 
     def test_width_mismatch_raises(self):
         spec = mlp_head_spec("app", 6, 8, 2, 4)

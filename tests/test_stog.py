@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuetrack import stog
 from cuetrack.autodiff import ParameterStore, constant, grad_check, total
-from cuetrack.stog import (StogConfig, StogError, attention, init_stog,
-                           propagation_layer, stog_forward)
+from cuetrack.model import ModelConfig, ModelError
+from cuetrack.stog import (StogError, attention, init_stog, propagation_layer,
+                           stog_forward)
 
 RNG = np.random.default_rng(31)
 
@@ -31,9 +33,9 @@ def _np_attention(x_q, x_kv, store, prefix, num_heads):
 
 
 def _small_cfg(**kw):
-    args = dict(dim=8, num_layers=2, num_heads=2)
+    args = dict(descriptor_dim=8, num_layers=2, num_heads=2)
     args.update(kw)
-    return StogConfig(**args)
+    return ModelConfig(**args)
 
 
 class TestAttention:
@@ -67,15 +69,19 @@ class TestAttention:
                       store.leaves(), "stog.l0", 2)
 
     def test_dim_must_divide_heads(self):
-        with pytest.raises(StogError):
-            StogConfig(dim=10, num_heads=4)
+        with pytest.raises(ModelError):
+            ModelConfig(descriptor_dim=10, num_heads=4)
 
 
 class TestPropagation:
-    def test_layer_schedule_alternates(self):
+    def test_layer_schedule_alternates(self, monkeypatch):
         cfg = _small_cfg(num_layers=4)
-        assert [cfg.layer_mode(i) for i in range(4)] == \
-            ["self", "cross", "self", "cross"]
+        modes = []
+        monkeypatch.setattr(stog, "propagation_layer",
+                            lambda k, r, mode, *rest: modes.append(mode) or (k, r))
+        stog_forward(constant(np.ones((2, 8))), constant(np.ones((3, 8))),
+                     cfg, {})
+        assert modes == ["self", "cross", "self", "cross"]
 
     def test_residual_structure(self):
         """With refine weights zeroed the layer must be the identity."""
