@@ -8,6 +8,18 @@ Only the primitives the association model needs are implemented:
 matmul, (broadcast) add, elementwise mul, scale, transpose, relu,
 row softmax, row/column log-sum-exp, group normalization, concat,
 column slicing, fill-from-scalar, exp and sum.
+
+Two fused nodes replace the primitive chains the model runs most:
+``multihead_attention`` (projections, per-head scaled dot-product
+softmax, merge and output projection) and ``linear_gn_relu`` (a hidden
+MLP layer). Each runs the numpy operations of its primitive composition
+in the same order, so its output and every input gradient are equal to
+the composition's bit for bit; the primitives remain the reference the
+tests compare them with. A fused backward calls ``_accumulate`` on its
+inputs in the order the composition's nodes would: a leaf's gradient is
+a floating-point sum, so another order rounds differently. Softmax and
+group-norm arithmetic has one copy, shared by the primitives and the
+fused nodes.
 """
 
 from __future__ import annotations
@@ -201,16 +213,24 @@ def exp(a) -> Tensor:
     return Tensor(out_data, parents=(a,), backward=backward, name="exp")
 
 
+def _softmax(a: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an array, overflow-safe via max subtraction."""
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Gradient through the row softmax ``p`` of upstream gradient ``g``."""
+    return (g - (g * p).sum(axis=-1, keepdims=True)) * p
+
+
 def softmax_rows(a) -> Tensor:
     """Row-wise softmax, overflow-safe via max subtraction."""
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = _softmax(a.data)
 
     def backward(g):
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        a._accumulate((g - dot) * out_data)
+        a._accumulate(_softmax_grad(g, out_data))
 
     return Tensor(out_data, parents=(a,), backward=backward, name="softmax_rows")
 
@@ -315,30 +335,27 @@ def mean_rows(a) -> Tensor:
     return Tensor(out_data, parents=(a,), backward=backward, name="mean_rows")
 
 
-def group_norm(x, gamma, beta, num_groups: int | None = None, eps: float = 1e-5) -> Tensor:
-    """Per-row group normalization of an (N, C) tensor.
+def _group_norm(a: np.ndarray, gamma: Tensor, beta: Tensor,
+                num_groups: int | None, eps: float):
+    """Group normalization of the rows of array ``a``, scaled and shifted
+    by ``gamma`` and ``beta``. Returns the result and its backward, which
+    takes the upstream gradient, accumulates gamma's and beta's, and
+    returns the gradient of ``a``.
 
-    Channels are split into groups (8 when divisible and at least 2 wide,
-    else 1 unless an explicit count is given); each group is standardized
-    per row and the result is scaled/shifted by learnable gamma/beta of
-    length C. Single-channel groups would standardize to zero and sever
-    the gradient, so the default never produces them.
+    The deviations from the group mean give both the variance, with the
+    arithmetic of ``var``, and the standardized values.
     """
-    x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
-    n, c = x.data.shape
+    n, c = a.shape
     if num_groups is None:
         num_groups = 8 if c % 8 == 0 and c >= 16 else 1
     if c % num_groups != 0:
         raise AutodiffError(f"channels {c} not divisible by {num_groups} groups")
     gw = c // num_groups
-    xg = x.data.reshape(n, num_groups, gw)
-    mu = xg.mean(axis=2, keepdims=True)
-    var = xg.var(axis=2, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = ((xg - mu) * inv).reshape(n, c)
+    xg = a.reshape(n, num_groups, gw)
+    dev = xg - xg.mean(axis=2, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(dev).sum(axis=2, keepdims=True) / gw + eps)
+    xhat = (dev * inv).reshape(n, c)
     g_row = gamma.data.reshape(1, c)
-    b_row = beta.data.reshape(1, c)
-    out_data = xhat * g_row + b_row
 
     def backward(g):
         gamma._accumulate((g * xhat).sum(axis=0).reshape(gamma.data.shape))
@@ -349,9 +366,98 @@ def group_norm(x, gamma, beta, num_groups: int | None = None, eps: float = 1e-5)
         dx = inv / gw * (gw * dxhat
                          - dxhat.sum(axis=2, keepdims=True)
                          - xh * (dxhat * xh).sum(axis=2, keepdims=True))
-        x._accumulate(dx.reshape(n, c))
+        return dx.reshape(n, c)
+
+    return xhat * g_row + beta.data.reshape(1, c), backward
+
+
+def group_norm(x, gamma, beta, num_groups: int | None = None, eps: float = 1e-5) -> Tensor:
+    """Per-row group normalization of an (N, C) tensor.
+
+    Channels are split into groups (8 when divisible and at least 2 wide,
+    else 1 unless an explicit count is given); each group is standardized
+    per row and the result is scaled/shifted by learnable gamma/beta of
+    length C. Single-channel groups would standardize to zero and sever
+    the gradient, so the default never produces them.
+    """
+    x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
+    out_data, norm_backward = _group_norm(x.data, gamma, beta, num_groups, eps)
+
+    def backward(g):
+        x._accumulate(norm_backward(g))
 
     return Tensor(out_data, parents=(x, gamma, beta), backward=backward, name="group_norm")
+
+
+# -- fused nodes ---------------------------------------------------------
+
+def linear_gn_relu(x, W: Tensor, b: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """``relu(group_norm(add(matmul(x, W), b), gamma, beta))`` as one node:
+    a hidden MLP layer, with group_norm's default groups."""
+    x = _wrap(x)
+    normed, norm_backward = _group_norm(x.data @ W.data + b.data, gamma, beta,
+                                        None, 1e-5)
+    mask = normed > 0
+
+    def backward(g):
+        ga = norm_backward(g * mask)
+        b._accumulate(_unbroadcast(ga, b.data.shape))
+        x._accumulate(ga @ W.data.T)
+        W._accumulate(x.data.T @ ga)
+
+    return Tensor(normed * mask, parents=(x, W, b, gamma, beta), backward=backward,
+                  name="linear_gn_relu")
+
+
+def multihead_attention(xq, xkv, Wq: Tensor, Wk: Tensor, Wv: Tensor,
+                        Wo: Tensor, num_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of the rows of ``xq`` over
+    the rows of ``xkv`` as one node.
+
+    Head h takes columns [h*dh, (h+1)*dh) of the projections, dh =
+    d / num_heads: softmax(q_h k_h^T / sqrt(dh)) v_h. The heads are
+    concatenated and projected by ``Wo``. The attention logits are
+    checked for overflow as the primitive nodes would check them.
+    """
+    xq, xkv = _wrap(xq), _wrap(xkv)
+    q = xq.data @ Wq.data
+    k = xkv.data @ Wk.data
+    v = xkv.data @ Wv.data
+    dh = q.shape[1] // num_heads
+    k_scale = float(1.0 / np.sqrt(dh))
+    cols = [slice(h * dh, (h + 1) * dh) for h in range(num_heads)]
+    # every head's logits in one array, so one check covers them all
+    logits = np.empty((num_heads, q.shape[0], k.shape[0]))
+    for h, sl in enumerate(cols):
+        np.matmul(q[:, sl], k[:, sl].T, out=logits[h])
+    logits *= k_scale
+    if not np.isfinite(logits).all():
+        raise AutodiffError("non-finite attention logits in tensor "
+                            "multihead_attention")
+    probs = [_softmax(a) for a in logits]
+    outs = [p @ v[:, sl] for p, sl in zip(probs, cols)]
+    merged = outs[0] if num_heads == 1 else np.concatenate(outs, axis=1)
+
+    def backward(g):
+        g_merged = g @ Wo.data.T
+        Wo._accumulate(merged.T @ g)
+        # C-ordered copies, as the primitives' gradients are: the layout
+        # picks the BLAS path of the products below, and so their rounding
+        dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        for p, sl in zip(probs, cols):
+            g_out = g_merged if num_heads == 1 else g_merged[:, sl].copy()
+            g_logits = _softmax_grad(g_out @ v[:, sl].T, p) * k_scale
+            dq[:, sl] = g_logits @ k[:, sl]
+            dk[:, sl] = (q[:, sl].T @ g_logits).T
+            dv[:, sl] = p.T @ g_out
+        # Q, then K, then V: the order in which the primitive tape adds
+        # into xq's and xkv's gradients, which a self-attention shares
+        for x, W, gp in ((xq, Wq, dq), (xkv, Wk, dk), (xkv, Wv, dv)):
+            x._accumulate(gp @ W.data.T)
+            W._accumulate(x.data.T @ gp)
+
+    return Tensor(merged @ Wo.data, parents=(xq, xkv, Wq, Wk, Wv, Wo),
+                  backward=backward, name="multihead_attention")
 
 
 # -- parameters -----------------------------------------------------------
@@ -490,6 +596,9 @@ def load_checkpoint(path: str) -> ParameterStore:
         if len(raw) != count * 4:
             raise AutodiffError(f"checkpoint truncated at parameter {rec['name']}")
         arr = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise AutodiffError(
+                f"checkpoint parameter {rec['name']} has non-finite values")
         store.entries[rec["name"]] = arr.copy()
         store.grads[rec["name"]] = np.zeros(shape)
     return store

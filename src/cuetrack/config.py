@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
@@ -63,7 +64,8 @@ _PAPER_FORCED = {
 def _cast(hint, value, where: str):
     """``value`` as the annotated type: nested dataclasses from mappings,
     tuples element by element, a bool only from a bool, an int only from
-    an integral number, other scalars through their constructor."""
+    an integral number, a float only from a finite number, other scalars
+    through their constructor."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         if not value:   # an empty or null value leaves an optional field unset
             return None
@@ -89,10 +91,13 @@ def _cast(hint, value, where: str):
             raise ConfigError(f"{where} must be an integer, got {value!r}")
         return int(value)
     try:
-        return hint(value)
+        cast = hint(value)
     except (TypeError, ValueError):
         raise ConfigError(
             f"{where} must be a {hint.__name__}, got {value!r}") from None
+    if hint is float and not math.isfinite(cast):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return cast
 
 
 def _build(cls, values: dict[str, Any], where: str):

@@ -3,9 +3,10 @@
 Each head is an MLP projecting one raw cue (class descriptor, normalized
 box geometry, appearance vector) into the shared descriptor space of
 width d through ``mlp``, the MLP the attention graph's refinement blocks
-share. Hidden layers use group normalization followed by ReLU; the
-final layer is bare. Fusion is an elementwise sum, optionally shifted
-by a per-frame temporal encoding.
+share. Each hidden layer is one ``autodiff.linear_gn_relu`` node:
+linear, group normalization, then ReLU; the final layer is a bare
+linear. Fusion is an elementwise sum, optionally shifted by a per-frame
+temporal encoding.
 """
 
 from __future__ import annotations
@@ -61,13 +62,15 @@ def init_mlp(store: ParameterStore, prefix: str, in_w: int,
 
 
 def mlp(leaves: dict[str, Tensor], prefix: str, x: Tensor, depth: int) -> Tensor:
-    """Linear, then group norm and ReLU, on each of ``depth`` layers; the
-    last layer is bare."""
+    """Linear, then group norm and ReLU, on each of ``depth`` layers (one
+    ``linear_gn_relu`` node each); the last layer is bare."""
     for i in range(depth):
         w, b, gamma, beta = _layer_names(prefix, i)
-        x = ad.add(ad.matmul(x, leaves[w]), leaves[b])
         if i < depth - 1:
-            x = ad.relu(ad.group_norm(x, leaves[gamma], leaves[beta]))
+            x = ad.linear_gn_relu(x, leaves[w], leaves[b], leaves[gamma],
+                                  leaves[beta])
+        else:
+            x = ad.add(ad.matmul(x, leaves[w]), leaves[b])
     return x
 
 

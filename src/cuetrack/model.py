@@ -93,6 +93,7 @@ class AssocModel:
             for name, width in (("sem", cfg.semantic_dim),
                                 ("loc", cfg.location_width),
                                 ("app", cfg.appearance_dim)))
+        self.enabled = (cfg.use_semantic, cfg.use_location, cfg.use_appearance)
         self.store = store if store is not None else ParameterStore(cfg.seed)
         given = set(self.store.entries)
         names = self._init_params()
@@ -103,10 +104,12 @@ class AssocModel:
                 else f"checkpoint parameter {name} is not a parameter of the model")
 
     def _init_params(self) -> set[str]:
-        """Create every parameter; returns their names."""
+        """Create every parameter, with no head for a disabled cue; returns
+        their names."""
         names = set()
-        for spec in self.head_specs:
-            names.update(heads.init_head(spec, self.store))
+        for spec, on in zip(self.head_specs, self.enabled):
+            if on:
+                names.update(heads.init_head(spec, self.store))
         names.update(stog.init_stog(self.cfg, self.store))
         self.store.create("dustbin", (1, 1), "ones")  # learnable bin score
         return names | {"dustbin"}
@@ -133,14 +136,12 @@ class AssocModel:
         a disabled cue fuses as a zero vector."""
         if not dets:
             raise ModelError("cannot embed an empty detection list")
-        cfg = self.cfg
-        zero = ad.constant(np.zeros((len(dets), cfg.descriptor_dim)))
-        enabled = (cfg.use_semantic, cfg.use_location, cfg.use_appearance)
+        zero = ad.constant(np.zeros((len(dets), self.cfg.descriptor_dim)))
         return heads.fuse(*(
             heads.head_forward(spec, leaves, ad.constant(x)) if on else zero
             for spec, x, on in zip(self.head_specs,
                                    self.cue_inputs(dets, image_h, image_w),
-                                   enabled)))
+                                   self.enabled)))
 
     # -- pair forward -------------------------------------------------------
 

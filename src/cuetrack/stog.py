@@ -1,12 +1,11 @@
 """Spatial-temporal object graph: alternating intra-frame self-attention
 and inter-frame cross-attention over object descriptors, each followed by
-a residual concat-MLP refinement (the MLP of ``heads``)."""
+a residual concat-MLP refinement (the MLP of ``heads``). Each attention
+is one fused ``autodiff.multihead_attention`` node."""
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import autodiff as ad
 from . import heads
@@ -35,29 +34,19 @@ def init_stog(cfg: ModelConfig, store: ParameterStore) -> list[str]:
 
 def attention(queries_from: Tensor, keys_values_from: Tensor,
               leaves: dict[str, Tensor], prefix: str, num_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention with learned projections.
+    """Multi-head scaled dot-product attention with learned projections,
+    one ``multihead_attention`` tape node.
 
     Self-attention is this operation with both arguments equal; scaling
     uses the per-head width d/num_heads.
     """
     if keys_values_from.data.shape[0] == 0:
         raise StogError("no attention targets")
-    d = queries_from.data.shape[1]
-    if keys_values_from.data.shape[1] != d:
+    if keys_values_from.data.shape[1] != queries_from.data.shape[1]:
         raise StogError("query/key descriptor widths differ")
-    q = ad.matmul(queries_from, leaves[f"{prefix}.Wq"])
-    k = ad.matmul(keys_values_from, leaves[f"{prefix}.Wk"])
-    v = ad.matmul(keys_values_from, leaves[f"{prefix}.Wv"])
-    dh = d // num_heads
-    outs = []
-    for h in range(num_heads):
-        qh = ad.slice_cols(q, h * dh, (h + 1) * dh)
-        kh = ad.slice_cols(k, h * dh, (h + 1) * dh)
-        vh = ad.slice_cols(v, h * dh, (h + 1) * dh)
-        logits = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
-        outs.append(ad.matmul(ad.softmax_rows(logits), vh))
-    merged = outs[0] if num_heads == 1 else ad.concat_cols(outs)
-    return ad.matmul(merged, leaves[f"{prefix}.Wo"])
+    return ad.multihead_attention(
+        queries_from, keys_values_from,
+        *(leaves[f"{prefix}.{w}"] for w in ("Wq", "Wk", "Wv", "Wo")), num_heads)
 
 
 def propagation_layer(key: Tensor, ref: Tensor, mode: str,

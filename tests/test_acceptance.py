@@ -19,9 +19,10 @@ import pytest
 from cuetrack import bench
 from cuetrack.autodiff import (ParameterStore, add, concat_cols, concat_rows,
                                constant, exp, fill, grad_check, group_norm,
-                               logsumexp_cols, logsumexp_rows, matmul,
-                               mean_rows, mul, relu, scale, slice_cols,
-                               softmax_rows, total, transpose)
+                               linear_gn_relu, logsumexp_cols, logsumexp_rows,
+                               matmul, mean_rows, mul, multihead_attention,
+                               relu, scale, slice_cols, softmax_rows, total,
+                               transpose)
 from cuetrack.cli import main as cli_main
 from cuetrack.geometry import Box, normalize_box
 from cuetrack.heads import head_forward, init_head, mlp_head_spec
@@ -64,9 +65,9 @@ def benchmark_arms():
 
 
 def test_01_gradient_correctness():
-    """Every differentiable primitive, every cue head, one attention layer
-    and the complete pipeline pass a central-difference gradient check
-    (h = 1e-5) with max relative error < 1e-4, in under 30 s."""
+    """Every differentiable primitive, the two fused nodes, every cue head,
+    one attention layer and the complete pipeline pass a central-difference
+    gradient check (h = 1e-5) with max relative error < 1e-4, in under 30 s."""
     with verdict("criterion 1: gradient correctness"):
         t0 = time.time()
         rng = np.random.default_rng(6)
@@ -121,6 +122,22 @@ def test_01_gradient_correctness():
                          s.create("b", (1, 8), "zeros"),
                          lambda lv: mul(group_norm(lv["x"], lv["g"], lv["b"],
                                                    num_groups=4), w38))[3])
+
+        # -- the fused nodes ------------------------------------------------
+        check(lambda s: ([s.create(n, (4, 4)) for n in ("q", "k", "v", "o")],
+                         s.create("x", (3, 4)), s.create("y", (2, 4)),
+                         lambda lv: multihead_attention(
+                             lv["x"], lv["y"], lv["q"], lv["k"], lv["v"],
+                             lv["o"], 2))[3])
+        # its own generator, so the checks below keep their inputs
+        w316 = constant(np.random.default_rng(16).normal(size=(3, 16)))
+        check(lambda s: (s.create("x", (3, 6)), s.create("w", (6, 16)),
+                         s.create("b", (1, 16)),
+                         s.create("g", (1, 16), "ones"),
+                         s.create("t", (1, 16), "zeros"),
+                         lambda lv: mul(linear_gn_relu(lv["x"], lv["w"], lv["b"],
+                                                       lv["g"], lv["t"]),
+                                        w316))[5])
 
         # -- every cue head ----------------------------------------------
         for name, in_w in (("sem", 6), ("loc", 4), ("app", 6)):

@@ -1,6 +1,7 @@
 """Reverse-mode autodiff: primitive gradients vs finite differences,
 tape mechanics, the parameter store and checkpoint round-trips."""
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -253,3 +254,19 @@ class TestCheckpoints:
         with open(path, "rb") as fh:
             manifest = json.loads(fh.readline().decode())
         assert "w" in str(manifest)
+
+    def test_non_finite_value_rejected_at_load(self, tmp_path):
+        store = ParameterStore(seed=9)
+        store.create("enc.W", (7, 3))
+        store.create("enc.b", (1, 3), init="zeros")
+        path = os.path.join(tmp_path, "ckpt.bin")
+        save_checkpoint(store, path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        # enc.W sorts first ("W" < "b"), so the blob starts with its values;
+        # patch the third
+        at = raw.index(b"\n") + 1 + 2 * 4
+        with open(path, "wb") as fh:
+            fh.write(raw[:at] + struct.pack("<f", float("nan")) + raw[at + 4:])
+        with pytest.raises(AutodiffError, match="parameter enc.W has non-finite"):
+            load_checkpoint(path)

@@ -3,6 +3,7 @@ command-line surface, including the full simulate -> train -> track ->
 eval pipeline with byte-identical determinism."""
 import json
 import os
+import struct
 
 import pytest
 import yaml
@@ -263,6 +264,54 @@ class TestCli:
                          "--set", override]) == 2
             assert message in capsys.readouterr().err
             assert not (tmp_path / "m.ckpt").exists()
+
+    def test_float_field_takes_only_a_finite_number(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        cfg_file = tmp_path / "nan.yaml"
+        cfg_file.write_text("tracker:\n  match_score_thr: .nan\n")
+        for args, key in (
+                (["--set", "tracker.memo_length_s=NaN"], "tracker.memo_length_s"),
+                (["--set", "scene.fps=Infinity"], "scene.fps"),
+                (["--config", str(cfg_file)], "tracker.match_score_thr")):
+            assert main(["simulate", "--out", str(out), *args]) == 2, key
+            assert f"{key} must be a finite number" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_track_rejects_checkpoint_without_a_cue_head(self, tmp_path,
+                                                        capsys):
+        data = str(tmp_path / "data")
+        ckpt = str(tmp_path / "model.ckpt")
+        results = tmp_path / "r.csv"
+        assert main(["simulate", "--out", data, "--num-sequences", "2",
+                     *FAST]) == 0
+        assert main(["train", "--data", data, "--out", ckpt, *FAST,
+                     "--set", "cues.semantic=false"]) == 0
+        capsys.readouterr()
+        assert main(["track", "--ckpt", ckpt, "--data", data,
+                     "--out", str(results), *FAST]) == 1
+        assert ("parameter sem.l0.W is missing from the checkpoint"
+                in capsys.readouterr().err)
+        assert not results.exists()
+
+    def test_track_rejects_non_finite_checkpoint_value(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        ckpt = tmp_path / "model.ckpt"
+        results = tmp_path / "r.csv"
+        assert main(["simulate", "--out", data, "--num-sequences", "2",
+                     *FAST]) == 0
+        assert main(["train", "--data", data, "--out", str(ckpt), *FAST]) == 0
+        capsys.readouterr()
+        raw = ckpt.read_bytes()
+        header_len = raw.index(b"\n") + 1
+        rec = json.loads(raw[:header_len])["params"][3]
+        at = header_len + rec["offset"] + 4
+        ckpt.write_bytes(raw[:at] + struct.pack("<f", float("nan"))
+                         + raw[at + 4:])
+        assert main(["track", "--ckpt", str(ckpt), "--data", data,
+                     "--out", str(results), *FAST]) == 1
+        assert (f"checkpoint parameter {rec['name']} has non-finite values"
+                in capsys.readouterr().err)
+        assert not results.exists()
 
     def test_track_rejects_checkpoint_of_another_layer_count(self, tmp_path,
                                                               capsys):

@@ -1,0 +1,196 @@
+"""The fused tape nodes against the primitive compositions they replace.
+
+``multihead_attention`` and ``linear_gn_relu`` must give the output and
+every input gradient of their compositions bit for bit, so a training
+step ends at the same float64 parameters. The compositions below are the
+reference; they are the code the fused nodes replaced.
+"""
+import numpy as np
+import pytest
+
+from cuetrack import autodiff as ad
+from cuetrack import bench, heads, simulator, stog, training
+from cuetrack.autodiff import AutodiffError, Tensor, constant
+from cuetrack.model import AssocModel, ModelConfig
+
+RNG = np.random.default_rng(2024)
+
+
+def ref_attention(xq, xkv, Wq, Wk, Wv, Wo, num_heads):
+    q = ad.matmul(xq, Wq)
+    k = ad.matmul(xkv, Wk)
+    v = ad.matmul(xkv, Wv)
+    dh = q.data.shape[1] // num_heads
+    outs = []
+    for h in range(num_heads):
+        qh = ad.slice_cols(q, h * dh, (h + 1) * dh)
+        kh = ad.slice_cols(k, h * dh, (h + 1) * dh)
+        vh = ad.slice_cols(v, h * dh, (h + 1) * dh)
+        logits = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
+        outs.append(ad.matmul(ad.softmax_rows(logits), vh))
+    merged = outs[0] if num_heads == 1 else ad.concat_cols(outs)
+    return ad.matmul(merged, Wo)
+
+
+def ref_linear_gn_relu(x, W, b, gamma, beta):
+    return ad.relu(ad.group_norm(ad.add(ad.matmul(x, W), b), gamma, beta))
+
+
+def ref_stog_attention(queries_from, keys_values_from, leaves, prefix,
+                       num_heads):
+    return ref_attention(queries_from, keys_values_from,
+                         *(leaves[f"{prefix}.{w}"] for w in ("Wq", "Wk", "Wv", "Wo")),
+                         num_heads)
+
+
+def ref_mlp(leaves, prefix, x, depth):
+    for i in range(depth):
+        w, b, gamma, beta = heads._layer_names(prefix, i)
+        if i < depth - 1:
+            x = ref_linear_gn_relu(x, leaves[w], leaves[b], leaves[gamma],
+                                   leaves[beta])
+        else:
+            x = ad.add(ad.matmul(x, leaves[w]), leaves[b])
+    return x
+
+
+def _run(fn, arrays, call):
+    """Output and input gradients of ``fn`` over fresh leaves of
+    ``arrays``, after one backward pass of a fixed upstream gradient."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*call(leaves))
+    out.backward(np.random.default_rng(5).normal(size=out.data.shape))
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+def _assert_bit_equal(fused, ref, arrays, call):
+    out, grads = _run(fused, arrays, call)
+    ref_out, ref_grads = _run(ref, arrays, call)
+    assert np.array_equal(out, ref_out)
+    for i, (g, rg) in enumerate(zip(grads, ref_grads)):
+        assert g is not None and np.array_equal(g, rg), f"input {i}"
+
+
+class TestAttentionEquivalence:
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    @pytest.mark.parametrize("rows", [5, 1])
+    def test_self_attention(self, num_heads, rows):
+        d = 8
+        arrays = [RNG.normal(size=(rows, d))] + [
+            RNG.normal(size=(d, d)) for _ in range(4)]
+        _assert_bit_equal(ad.multihead_attention, ref_attention, arrays,
+                          lambda t: (t[0], t[0], *t[1:], num_heads))
+
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    @pytest.mark.parametrize("rows", [(4, 6), (1, 6), (4, 1)])
+    def test_cross_attention(self, num_heads, rows):
+        d = 8
+        arrays = [RNG.normal(size=(rows[0], d)), RNG.normal(size=(rows[1], d))] + [
+            RNG.normal(size=(d, d)) for _ in range(4)]
+        _assert_bit_equal(ad.multihead_attention, ref_attention, arrays,
+                          lambda t: (*t, num_heads))
+
+    @pytest.mark.parametrize("weight", [1.0, -1.0])
+    def test_overflowing_logits_raise_naming_the_node(self, weight):
+        # rows of 1e200 take every logit to +inf (weight 1) or to -inf
+        # (weight -1); a -inf logit beside finite ones leaves the softmax
+        # finite, so only the node's own check catches it
+        d = 4
+        x = np.full((2, d), 1e200)
+        kv = np.vstack([np.full((1, d), 1e200), np.ones((1, d))])
+        eye = np.eye(d)
+        with np.errstate(over="ignore"), \
+                pytest.raises(AutodiffError, match="multihead_attention"):
+            ad.multihead_attention(constant(x), constant(kv), constant(eye),
+                                   constant(weight * eye), constant(eye),
+                                   constant(eye), 2)
+
+
+class TestLinearGnReluEquivalence:
+    @pytest.mark.parametrize("width", [8, 16])   # 1 group and 8 groups
+    @pytest.mark.parametrize("rows", [3, 1])
+    def test_matches_composition(self, width, rows):
+        arrays = [RNG.normal(size=(rows, 6)), RNG.normal(size=(6, width)),
+                  RNG.normal(size=(1, width)), RNG.normal(size=(1, width)) + 1.0,
+                  RNG.normal(size=(1, width))]
+        _assert_bit_equal(ad.linear_gn_relu, ref_linear_gn_relu, arrays,
+                          lambda t: t)
+
+    def test_relu_input_of_exactly_zero(self):
+        x, W = RNG.normal(size=(3, 6)), RNG.normal(size=(6, 16))
+        b, gamma, beta = (RNG.normal(size=(1, 16)) for _ in range(3))
+        gamma[0, :3] = 0.0
+        beta[0, :3] = 0.0
+        pre = ad.group_norm(constant(x @ W + b), constant(gamma), constant(beta))
+        assert np.all(pre.data[:, :3] == 0.0)
+        _assert_bit_equal(ad.linear_gn_relu, ref_linear_gn_relu,
+                          [x, W, b, gamma, beta], lambda t: t)
+
+    def test_overflow_raises_naming_the_node(self):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(AutodiffError, match="linear_gn_relu"):
+            ad.linear_gn_relu(constant(np.full((2, 4), 1e307)),
+                              constant(np.ones((4, 8))), constant(np.zeros((1, 8))),
+                              constant(np.ones((1, 8))), constant(np.zeros((1, 8))))
+
+    def test_group_statistics_match_var(self):
+        # the group norm of the primitives before the shared helper
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            groups = int(rng.choice([1, 2, 4, 8]))
+            width = groups * int(rng.integers(1, 9))
+            rows = int(rng.integers(1, 6))
+            x = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-3, 3)
+            gamma, beta = rng.normal(size=(1, width)), rng.normal(size=(1, width))
+            xg = x.reshape(x.shape[0], groups, -1)
+            mu = xg.mean(axis=2, keepdims=True)
+            inv = 1.0 / np.sqrt(xg.var(axis=2, keepdims=True) + 1e-5)
+            expect = ((xg - mu) * inv).reshape(x.shape) * gamma + beta
+            out = ad.group_norm(constant(x), constant(gamma), constant(beta),
+                                num_groups=groups)
+            assert np.array_equal(out.data, expect)
+
+
+class TestModelEquivalence:
+    def test_train_step_parameters_equal_the_compositions(self, monkeypatch):
+        data = simulator.generate_dataset(bench.benchmark_scene(5), 2, 5)
+        cfg = training.TrainConfig(batch_pairs=4, seed=0)
+        rng = np.random.default_rng(0)
+        batch = [training.sample_pair(seq, cfg.max_interval_s, rng)
+                 for seq in data for _ in range(2)]
+
+        def step():
+            asm = AssocModel(ModelConfig(seed=1))
+            assert training._train_step(asm, batch, cfg, bench.IMAGE_H,
+                                        bench.IMAGE_W) is not None
+            return asm.store.entries
+
+        fused = step()
+        monkeypatch.setattr(stog, "attention", ref_stog_attention)
+        monkeypatch.setattr(heads, "mlp", ref_mlp)
+        ref = step()
+        assert fused.keys() == ref.keys()
+        for name in ref:
+            assert np.array_equal(fused[name], ref[name]), name
+
+    def test_pair_log_plan_tape_size(self, monkeypatch):
+        # desk model: d=32, 4 layers, 4 heads; 7 temporal-encoding nodes,
+        # 14 per layer (2 attention, 2 refine MLPs of concat, 2 hidden
+        # layers, matmul, add and the residual add), 3 for the scores, 4
+        # for the dustbin and 1 Sinkhorn node
+        asm = AssocModel(ModelConfig())
+        key = constant(RNG.normal(size=(5, 32)))
+        ref = constant(RNG.normal(size=(7, 32)))
+        leaves = asm.store.leaves()
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("name", ""))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        asm.pair_log_plan(key, ref, leaves)
+        assert len(built) == 71
+        assert built.count("multihead_attention") == 8
+        assert built.count("linear_gn_relu") == 16

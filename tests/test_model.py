@@ -63,6 +63,14 @@ class TestEmbedding:
         assert np.allclose(e_no, e_sem + e_loc, atol=1e-12)
         assert np.allclose(e_full - e_no, e_app, atol=1e-12)
 
+    def test_disabled_cue_creates_no_head(self):
+        full = AssocModel(_cfg())
+        no_sem = AssocModel(_cfg(use_semantic=False))
+        assert set(no_sem.store.entries) == {
+            n for n in full.store.entries if not n.startswith("sem.")}
+        for name, value in no_sem.store.entries.items():
+            assert np.array_equal(value, full.store.entries[name]), name
+
     def test_empty_frame_rejected(self):
         asm = AssocModel(_cfg())
         with pytest.raises(ModelError):
