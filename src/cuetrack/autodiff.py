@@ -39,9 +39,9 @@ class AutodiffError(Exception):
 class Tensor:
     """A node of the computation tape.
 
-    ``requires_grad`` leaves collect gradients in ``.grad``; interior
-    nodes carry a ``_backward`` closure distributing the upstream
-    gradient to their parents.
+    Interior nodes carry a ``_backward`` closure distributing the upstream
+    gradient to their parents. Every tensor that ``backward`` reaches gets
+    a ``.grad``, constants included; the tape never reads ``requires_grad``.
     """
 
     __slots__ = ("data", "parents", "requires_grad", "grad", "_backward", "name")

@@ -65,7 +65,6 @@ def evaluate_tracker(asm: AssocModel,
 class ArmResult:
     name: str
     report: EvalReport
-    model: AssocModel
 
 
 def run_arm(name: str,
@@ -84,4 +83,4 @@ def run_arm(name: str,
     tcfg = TrainConfig(epochs=epochs, batch_pairs=16, gt_only=gt_only,
                        seed=OPT_SEED)
     train(train_set, tcfg, asm, IMAGE_H, IMAGE_W)
-    return ArmResult(name, evaluate_tracker(asm, test_set), asm)
+    return ArmResult(name, evaluate_tracker(asm, test_set))

@@ -1,5 +1,5 @@
-"""Run configuration: defaults, presets, file loading with strict key
-checking, and flag overrides.
+"""Run configuration in layers, with strict key checking: the preset's
+defaults, then an optional config file, then flag overrides.
 
 Each section's keys, defaults and value types are the fields of its
 dataclass (``ModelConfig``, ``SceneConfig``, ``TrainConfig``,
@@ -10,7 +10,6 @@ dataclass (``ModelConfig``, ``SceneConfig``, ``TrainConfig``,
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import types
@@ -41,24 +40,21 @@ def _section(cfg, drop=frozenset({"seed"})) -> dict[str, Any]:
     return {k: v for k, v in asdict(cfg).items() if k not in drop}
 
 
-_DESK_DEFAULTS: dict[str, Any] = {
-    "preset": "desk",
-    "seed": 0,
-    "mode": "open",           # open | closed
-    "num_sequences": 10,
-    "cues": {c: getattr(ModelConfig(), f"use_{c}") for c in _CUES},
-    "model": _section(ModelConfig(), _MODEL_ELSEWHERE),
-    "scene": _section(SceneConfig()),
-    "train": _section(TrainConfig()),
-    "tracker": _section(TrackerConfig()),
-}
-
-# appendix values the "paper" preset pins down
-_PAPER_FORCED = {
-    "model": {k: v for k, v in asdict(paper_preset()).items()
-              if k in _DESK_DEFAULTS["model"]},
-    "tracker": _section(TrackerConfig()),
-}
+def _defaults(preset: str) -> dict[str, Any]:
+    """Every key's default; the "paper" preset's model section is
+    ``paper_preset()``."""
+    model = paper_preset() if preset == "paper" else ModelConfig()
+    return {
+        "preset": preset,
+        "seed": 0,
+        "mode": "open",           # open | closed
+        "num_sequences": 10,
+        "cues": {c: getattr(model, f"use_{c}") for c in _CUES},
+        "model": _section(model, _MODEL_ELSEWHERE),
+        "scene": _section(SceneConfig()),
+        "train": _section(TrainConfig()),
+        "tracker": _section(TrackerConfig()),
+    }
 
 
 def _cast(hint, value, where: str):
@@ -138,6 +134,8 @@ def _merge_checked(base: dict, update: dict, path: str = "") -> None:
             raise ConfigError(f"unknown key {where!r}")
         if isinstance(base[key], dict) and isinstance(value, dict):
             _merge_checked(base[key], value, where)
+        elif isinstance(value, dict):
+            raise ConfigError(f"{where} is not a section")
         else:
             base[key] = value
 
@@ -151,38 +149,34 @@ def _parse_scalar(text: str):
 
 def load_config(path: str | None = None,
                 overrides: dict[str, Any] | None = None) -> RunConfig:
-    """Defaults + optional config file + dotted-path flag overrides, built
-    into every section's dataclass.
+    """The preset's defaults, then the optional config file, then each
+    dotted-path flag override, built into every section's dataclass.
 
-    Unknown keys and bad values raise ``ConfigError`` naming the key or
-    the section. The "paper" preset pins the published model/tracker
-    values after merging.
+    Each later layer overrides the earlier ones; the preset itself is read
+    from the last layer that sets it. Unknown keys and bad values raise
+    ``ConfigError`` naming the key or the section.
     """
-    data = copy.deepcopy(_DESK_DEFAULTS)
+    layers = []
     if path is not None:
         with open(path) as f:
             loaded = yaml.safe_load(f) or {}
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a mapping")
-        _merge_checked(data, loaded)
+        layers.append(loaded)
     for dotted, value in (overrides or {}).items():
-        node = data
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"unknown key {dotted!r}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown key {dotted!r}")
-        node[parts[-1]] = _parse_scalar(value) if isinstance(value, str) else value
-
-    if data["preset"] not in ("desk", "paper"):
-        raise ConfigError(f"unknown preset {data['preset']!r}")
+        layer = _parse_scalar(value) if isinstance(value, str) else value
+        for part in reversed(dotted.split(".")):
+            layer = {part: layer}
+        layers.append(layer)
+    preset = next((layer["preset"] for layer in reversed(layers)
+                   if "preset" in layer), "desk")
+    if preset not in ("desk", "paper"):
+        raise ConfigError(f"unknown preset {preset!r}")
+    data = _defaults(preset)
+    for layer in layers:
+        _merge_checked(data, layer)
     if data["mode"] not in ("open", "closed"):
         raise ConfigError(f"unknown mode {data['mode']!r}")
-    if data["preset"] == "paper":
-        for section, forced in _PAPER_FORCED.items():
-            data[section].update(copy.deepcopy(forced))
     seed = _cast(int, data["seed"], "seed")
     cues = {c: _cast(bool, data["cues"][c], f"cues.{c}") for c in _CUES}
     scene = data["scene"]
@@ -191,7 +185,7 @@ def load_config(path: str | None = None,
                  closed_set=data["mode"] == "closed", seed=seed,
                  **{f"use_{c}": on for c, on in cues.items()})
     return RunConfig(
-        data["preset"], seed,
+        preset, seed,
         _cast(int, data["num_sequences"], "num_sequences"),
         scene=_build(SceneConfig, dict(scene, seed=seed), "scene"),
         model=_build(ModelConfig, model, "model"),

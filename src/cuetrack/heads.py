@@ -1,12 +1,12 @@
-"""Cue projection heads and feature fusion.
+"""Cue projection heads and the temporal encoding.
 
 Each head is an MLP projecting one raw cue (class descriptor, normalized
 box geometry, appearance vector) into the shared descriptor space of
 width d through ``mlp``, the MLP the attention graph's refinement blocks
 share. Each hidden layer is one ``autodiff.linear_gn_relu`` node:
 linear, group normalization, then ReLU; the final layer is a bare
-linear. Fusion is an elementwise sum, optionally shifted by a per-frame
-temporal encoding.
+linear. The model sums the enabled heads' outputs; ``temporal_encode``
+can then shift both frames' sums by a per-frame context delta.
 """
 
 from __future__ import annotations
@@ -96,12 +96,6 @@ def location_input(nbox: NormalizedBox, confidence: float | None = None,
             raise HeadError("closed-set mode requires a confidence value")
         coords.append(float(confidence))
     return np.asarray(coords, dtype=np.float64)
-
-
-def fuse(e_sem: Tensor, e_loc: Tensor, e_app: Tensor) -> Tensor:
-    if not (e_sem.data.shape == e_loc.data.shape == e_app.data.shape):
-        raise HeadError("cue embeddings must share a shape to fuse")
-    return ad.add(ad.add(e_sem, e_loc), e_app)
 
 
 def temporal_encode(fused_key: Tensor, fused_ref: Tensor) -> tuple[Tensor, Tensor]:

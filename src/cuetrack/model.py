@@ -1,9 +1,10 @@
-"""The association model: cue heads, fusion, temporal encoding, the
+"""The association model: cue heads, their sum, temporal encoding, the
 attention graph, and the dustbin-Sinkhorn matcher, assembled as one
 differentiable pipeline over a pair of frames."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ class ModelConfig:
         if self.descriptor_dim % self.num_heads != 0:
             raise ModelError(f"descriptor_dim {self.descriptor_dim} not "
                              f"divisible by {self.num_heads} heads")
+        if not self.refine or self.refine[-1] != self.descriptor_dim:
+            raise ModelError(f"refine_widths {self.refine} must end at "
+                             f"descriptor_dim {self.descriptor_dim}")
 
     @property
     def location_width(self) -> int:
@@ -56,14 +60,12 @@ class ModelConfig:
         return (2 * d, 2 * d, d)
 
 
-def paper_preset(**overrides) -> ModelConfig:
+def paper_preset() -> ModelConfig:
     """The published large configuration: d=256, 4 layers, 4 heads,
     refine MLP [512, 512, 256], 100 Sinkhorn iterations."""
-    base = dict(descriptor_dim=256, num_layers=4, num_heads=4,
-                refine_widths=(512, 512, 256), sinkhorn_iters=100,
-                head_hidden=256)
-    base.update(overrides)
-    return ModelConfig(**base)
+    return ModelConfig(descriptor_dim=256, num_layers=4, num_heads=4,
+                       refine_widths=(512, 512, 256), sinkhorn_iters=100,
+                       head_hidden=256)
 
 
 def _cue_rows(cue: str, vecs: list[np.ndarray], width: int) -> np.ndarray:
@@ -90,10 +92,10 @@ class AssocModel:
         self.cfg = cfg
         self.head_specs = tuple(
             heads.mlp_head_spec(name, width, cfg.head_hidden, 5, cfg.descriptor_dim)
-            for name, width in (("sem", cfg.semantic_dim),
-                                ("loc", cfg.location_width),
-                                ("app", cfg.appearance_dim)))
-        self.enabled = (cfg.use_semantic, cfg.use_location, cfg.use_appearance)
+            for name, width, on in (
+                ("sem", cfg.semantic_dim, cfg.use_semantic),
+                ("loc", cfg.location_width, cfg.use_location),
+                ("app", cfg.appearance_dim, cfg.use_appearance)) if on)
         self.store = store if store is not None else ParameterStore(cfg.seed)
         given = set(self.store.entries)
         names = self._init_params()
@@ -107,9 +109,8 @@ class AssocModel:
         """Create every parameter, with no head for a disabled cue; returns
         their names."""
         names = set()
-        for spec, on in zip(self.head_specs, self.enabled):
-            if on:
-                names.update(heads.init_head(spec, self.store))
+        for spec in self.head_specs:
+            names.update(heads.init_head(spec, self.store))
         names.update(stog.init_stog(self.cfg, self.store))
         self.store.create("dustbin", (1, 1), "ones")  # learnable bin score
         return names | {"dustbin"}
@@ -117,31 +118,36 @@ class AssocModel:
     # -- embedding --------------------------------------------------------
 
     def cue_inputs(self, dets: list[Detection], image_h: float,
-                   image_w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   image_w: float) -> list[np.ndarray]:
+        """The (N, width) input of each enabled cue's head, in
+        ``head_specs`` order; a disabled cue's vectors are not read."""
         cfg = self.cfg
-        sem = _cue_rows("semantic", [d.semantic_vec for d in dets],
-                        cfg.semantic_dim)
-        loc = np.stack([
-            heads.location_input(normalize_box(d.box, image_h, image_w),
-                                 confidence=d.score,
-                                 closed_set=cfg.closed_set)
-            for d in dets])
-        app = _cue_rows("appearance", [d.appearance_vec for d in dets],
-                        cfg.appearance_dim)
-        return sem, loc, app
+        inputs = []
+        if cfg.use_semantic:
+            inputs.append(_cue_rows("semantic", [d.semantic_vec for d in dets],
+                                    cfg.semantic_dim))
+        if cfg.use_location:
+            inputs.append(np.stack([
+                heads.location_input(normalize_box(d.box, image_h, image_w),
+                                     confidence=d.score,
+                                     closed_set=cfg.closed_set)
+                for d in dets]))
+        if cfg.use_appearance:
+            inputs.append(_cue_rows("appearance",
+                                    [d.appearance_vec for d in dets],
+                                    cfg.appearance_dim))
+        return inputs
 
     def embed(self, dets: list[Detection], image_h: float, image_w: float,
               leaves: dict[str, Tensor]) -> Tensor:
-        """Per-object cue embeddings summed into the fused descriptor;
-        a disabled cue fuses as a zero vector."""
+        """The fused descriptor: the sum of the enabled cues' head
+        outputs, semantic, then location, then appearance."""
         if not dets:
             raise ModelError("cannot embed an empty detection list")
-        zero = ad.constant(np.zeros((len(dets), self.cfg.descriptor_dim)))
-        return heads.fuse(*(
-            heads.head_forward(spec, leaves, ad.constant(x)) if on else zero
-            for spec, x, on in zip(self.head_specs,
-                                   self.cue_inputs(dets, image_h, image_w),
-                                   self.enabled)))
+        return functools.reduce(ad.add, (
+            heads.head_forward(spec, leaves, ad.constant(x))
+            for spec, x in zip(self.head_specs,
+                               self.cue_inputs(dets, image_h, image_w))))
 
     # -- pair forward -------------------------------------------------------
 
@@ -164,11 +170,10 @@ class AssocModel:
     def forward_pair(self, key_dets: list[Detection], ref_dets: list[Detection],
                      image_h: float, image_w: float,
                      marginals: tuple[np.ndarray, np.ndarray] | None = None,
-                     leaves: dict[str, Tensor] | None = None) -> tuple[Tensor, dict[str, Tensor]]:
-        """Full pipeline on one frame pair; returns (log-plan, leaves)."""
+                     leaves: dict[str, Tensor] | None = None) -> Tensor:
+        """Full pipeline on one frame pair; returns the log transport plan."""
         if leaves is None:
             leaves = self.store.leaves()
         key_fused = self.embed(key_dets, image_h, image_w, leaves)
         ref_fused = self.embed(ref_dets, image_h, image_w, leaves)
-        log_plan = self.pair_log_plan(key_fused, ref_fused, leaves, marginals)
-        return log_plan, leaves
+        return self.pair_log_plan(key_fused, ref_fused, leaves, marginals)

@@ -9,6 +9,7 @@ feeding detection-aware training.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -107,15 +108,18 @@ def _hash_rng(*parts) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
 
 
+@functools.cache
+def _unit_vector(kind: str, class_id: int, dim: int) -> np.ndarray:
+    v = _hash_rng(kind, class_id, dim).normal(size=dim)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False   # cached: shared by every caller
+    return v
+
+
 def class_prototype(class_id: int, dim: int) -> np.ndarray:
-    """Deterministic unit semantic prototype, stable across scenes."""
-    v = _hash_rng("semantic_prototype", class_id, dim).normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
-def _appearance_anchor(class_id: int, dim: int) -> np.ndarray:
-    v = _hash_rng("appearance_anchor", class_id, dim).normal(size=dim)
-    return v / np.linalg.norm(v)
+    """Deterministic unit semantic prototype, stable across scenes
+    (read-only)."""
+    return _unit_vector("semantic_prototype", class_id, dim)
 
 
 class _ObjectState:
@@ -141,7 +145,8 @@ class _ObjectState:
         raw = rng.normal(size=cfg.appearance_dim)
         raw /= np.linalg.norm(raw)
         if cfg.lookalike_appearance:
-            anchor = _appearance_anchor(profile.class_id, cfg.appearance_dim)
+            anchor = _unit_vector("appearance_anchor", profile.class_id,
+                                  cfg.appearance_dim)
             raw = anchor + 0.15 * raw
             raw /= np.linalg.norm(raw)
         self.appearance = raw

@@ -128,10 +128,10 @@ def _pair_loss(asm: AssocModel, key: FrameSample, ref: FrameSample,
     target = build_target(key_ids, ref_ids)
     if target.values.sum() == 0:
         return None
-    log_plan, _ = asm.forward_pair(key_dets, ref_dets, image_h, image_w,
-                                   marginals=(target.row_marginals,
-                                              target.col_marginals),
-                                   leaves=leaves)
+    log_plan = asm.forward_pair(key_dets, ref_dets, image_h, image_w,
+                                marginals=(target.row_marginals,
+                                           target.col_marginals),
+                                leaves=leaves)
     return matching.association_loss(log_plan, target.values)
 
 

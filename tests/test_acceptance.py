@@ -182,8 +182,8 @@ def test_01_gradient_correctness():
         target[2, 2] = 1.0  # unmatched key object -> dustbin column
 
         def pipeline(leaves):
-            lp, _ = asm.forward_pair(dets_a, dets_b, 600.0, 800.0,
-                                     leaves=leaves)
+            lp = asm.forward_pair(dets_a, dets_b, 600.0, 800.0,
+                                  leaves=leaves)
             return association_loss(lp, target)
 
         worst = max(worst, grad_check(pipeline, asm.store, h=1e-5))

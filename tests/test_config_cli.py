@@ -1,6 +1,7 @@
 """Config loading (defaults, file merge, overrides, presets) and the
 command-line surface, including the full simulate -> train -> track ->
 eval pipeline with byte-identical determinism."""
+import dataclasses
 import json
 import os
 import struct
@@ -8,7 +9,7 @@ import struct
 import pytest
 import yaml
 
-from cuetrack.cli import main
+from cuetrack.cli import _build_config, build_parser, main
 from cuetrack.config import ConfigError, load_config
 from cuetrack.model import ModelConfig, paper_preset
 from cuetrack.simulator import ClassProfile, SceneConfig
@@ -86,16 +87,43 @@ class TestConfig:
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError):
             load_config(overrides={"tracker.threshold": "0.3"})
+        for key in ("seed", "scene.profiles"):
+            with pytest.raises(ConfigError, match=f"{key} is not a section"):
+                load_config(overrides={f"{key}.x": "1"})
 
-    def test_paper_preset_forces_published_values(self):
+    def test_paper_preset_sets_the_defaults(self):
+        cfg = load_config(overrides={"preset": "paper"})
+        assert cfg.model == paper_preset()
+        assert cfg.tracker == TrackerConfig()
         cfg = load_config(overrides={"preset": "paper",
-                                     "model.descriptor_dim": "8"})
-        m = cfg.model
-        assert m.descriptor_dim == 256
-        assert m.refine_widths == (512, 512, 256)
-        assert m == paper_preset()
-        assert cfg.tracker.match_score_thr == 0.2
-        assert cfg.tracker.memo_length_s == 10.0
+                                     "model.sinkhorn_iters": "30",
+                                     "tracker.match_score_thr": "0.3"})
+        assert cfg.model.sinkhorn_iters == 30
+        assert cfg.model.descriptor_dim == 256
+        assert cfg.tracker.match_score_thr == 0.3
+        # the preset's refine widths end at 256
+        with pytest.raises(ConfigError, match="refine_widths"):
+            load_config(overrides={"preset": "paper",
+                                   "model.descriptor_dim": "64"})
+
+    def test_layers_preset_then_file_then_flags(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(
+            {"preset": "paper", "model": {"sinkhorn_iters": 30},
+             "tracker": {"match_score_thr": 0.3}}))
+        cfg = load_config(str(path))
+        assert cfg.preset == "paper"
+        assert cfg.model == dataclasses.replace(paper_preset(),
+                                                sinkhorn_iters=30)
+        assert cfg.tracker.match_score_thr == 0.3
+        cfg = load_config(str(path), {"model.sinkhorn_iters": "40"})
+        assert cfg.model.sinkhorn_iters == 40
+        assert cfg.model.descriptor_dim == 256
+        # the last layer that names a preset picks the defaults
+        cfg = load_config(str(path), {"preset": "desk"})
+        assert cfg.preset == "desk"
+        assert cfg.model == dataclasses.replace(ModelConfig(),
+                                                sinkhorn_iters=30)
 
     def test_bool_field_takes_only_a_bool(self):
         with pytest.raises(ConfigError, match=r"train\.gt_only must be true"):
@@ -224,7 +252,8 @@ class TestCli:
         capsys.readouterr()
         rc = main(["track", "--ckpt", ckpt, "--data", data,
                    "--out", str(tmp_path / "r.csv"), *FAST,
-                   "--set", "model.descriptor_dim=16"])
+                   "--set", "model.descriptor_dim=16",
+                   "--set", "model.refine_widths=[32,16]"])
         assert rc == 1
         assert "parameter sem.l4.W has shape (16, 8), the model needs " \
             "(16, 16)" in capsys.readouterr().err
@@ -264,6 +293,28 @@ class TestCli:
                          "--set", override]) == 2
             assert message in capsys.readouterr().err
             assert not (tmp_path / "m.ckpt").exists()
+
+    def test_flags_override_the_file_and_the_preset(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({"model": {"sinkhorn_iters": 50}}))
+        args = build_parser().parse_args([
+            "simulate", "--out", str(tmp_path / "d"), "--config", str(path),
+            "--preset", "paper", "--set", "tracker.match_score_thr=0.3"])
+        cfg = _build_config(args)
+        assert cfg.model == dataclasses.replace(paper_preset(),
+                                                sinkhorn_iters=50)
+        assert cfg.tracker.match_score_thr == 0.3
+        args.overrides.append("model.sinkhorn_iters=30")
+        assert _build_config(args).model.sinkhorn_iters == 30
+
+    def test_refine_widths_must_end_at_descriptor_dim(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        for widths in ("[16,4]", "[16,1]"):
+            rc = main(["simulate", "--out", str(out), *FAST,
+                       "--set", f"model.refine_widths={widths}"])
+            assert rc == 2, widths
+            assert "refine_widths" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_float_field_takes_only_a_finite_number(self, tmp_path, capsys):
         out = tmp_path / "d"

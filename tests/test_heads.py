@@ -1,4 +1,4 @@
-"""Cue projection heads, location packing, fusion and temporal encoding.
+"""Cue projection heads, location packing and temporal encoding.
 
 The MLP oracle is a hand-rolled numpy forward pass evaluated against the
 same parameter values the head uses, so any change to layer order,
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cuetrack.autodiff import ParameterStore, Tensor, constant, grad_check, total
 from cuetrack.geometry import NormalizedBox
-from cuetrack.heads import (HeadError, fuse, head_forward, init_head,
+from cuetrack.heads import (HeadError, head_forward, init_head,
                             location_input, mlp_head_spec, temporal_encode)
 
 RNG = np.random.default_rng(77)
@@ -95,18 +95,6 @@ class TestLocationInput:
     def test_closed_set_without_confidence_raises(self):
         with pytest.raises(HeadError):
             location_input(NormalizedBox(0, 0, 1, 1), closed_set=True)
-
-
-class TestFusion:
-    def test_fuse_is_elementwise_sum(self):
-        a, b, c = (RNG.normal(size=(4, 8)) for _ in range(3))
-        out = fuse(constant(a), constant(b), constant(c))
-        assert np.allclose(out.data, a + b + c)
-
-    def test_fuse_shape_mismatch(self):
-        with pytest.raises(HeadError):
-            fuse(constant(np.zeros((4, 8))), constant(np.zeros((4, 8))),
-                 constant(np.zeros((3, 8))))
 
 
 class TestTemporalEncoding:

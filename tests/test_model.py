@@ -1,5 +1,7 @@
 """The assembled association model: cue toggles, frame-pair forward,
 checkpoint reload, and end-to-end differentiability."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,17 @@ class TestEmbedding:
         for name, value in no_sem.store.entries.items():
             assert np.array_equal(value, full.store.entries[name]), name
 
+    def test_disabled_cue_vectors_are_not_read(self):
+        no_sem = AssocModel(_cfg(use_semantic=False))
+        assert [s.name for s in no_sem.head_specs] == ["loc", "app"]
+        dets = [dataclasses.replace(d, semantic_vec=np.zeros(7))
+                for d in _dets(3)]
+        out = no_sem.embed(dets, H, W, no_sem.store.leaves())
+        assert out.data.shape == (3, 8)
+        full = AssocModel(_cfg())
+        with pytest.raises(ModelError, match="semantic vector of width 7"):
+            full.embed(dets, H, W, full.store.leaves())
+
     def test_empty_frame_rejected(self):
         asm = AssocModel(_cfg())
         with pytest.raises(ModelError):
@@ -84,7 +97,7 @@ class TestEmbedding:
 class TestForwardPair:
     def test_log_plan_shape_and_marginals(self):
         asm = AssocModel(_cfg())
-        lp, _ = asm.forward_pair(_dets(3), _dets(4, seed=1), H, W)
+        lp = asm.forward_pair(_dets(3), _dets(4, seed=1), H, W)
         plan = np.exp(lp.data)
         assert plan.shape == (4, 5)
         assert np.allclose(plan.sum(axis=0), [1, 1, 1, 1, 3], atol=1e-6)
@@ -92,13 +105,13 @@ class TestForwardPair:
 
     def test_forward_is_deterministic(self):
         asm = AssocModel(_cfg())
-        a, _ = asm.forward_pair(_dets(3), _dets(3, seed=1), H, W)
-        b, _ = asm.forward_pair(_dets(3), _dets(3, seed=1), H, W)
+        a = asm.forward_pair(_dets(3), _dets(3, seed=1), H, W)
+        b = asm.forward_pair(_dets(3), _dets(3, seed=1), H, W)
         assert np.array_equal(a.data, b.data)
 
     def test_single_detection_frames(self):
         asm = AssocModel(_cfg())
-        lp, _ = asm.forward_pair(_dets(1), _dets(1, seed=1), H, W)
+        lp = asm.forward_pair(_dets(1), _dets(1, seed=1), H, W)
         assert lp.data.shape == (2, 2)
 
 
@@ -109,8 +122,8 @@ class TestCheckpointReload:
         save_checkpoint(asm.store, path)
         asm2 = AssocModel(_cfg(seed=99), store=load_checkpoint(path))
         k, r = _dets(3), _dets(4, seed=1)
-        a, _ = asm.forward_pair(k, r, H, W)
-        b, _ = asm2.forward_pair(k, r, H, W)
+        a = asm.forward_pair(k, r, H, W)
+        b = asm2.forward_pair(k, r, H, W)
         # float32 storage: near-identical, not bitwise
         assert np.max(np.abs(a.data - b.data)) < 1e-5
 

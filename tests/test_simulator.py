@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from cuetrack.geometry import Box, iou, motion_stats
 from cuetrack.simulator import (AbsenceWindow, ClassProfile, NoiseConfig,
-                                SceneConfig, SimulatorError, class_prototype,
-                                generate, generate_dataset, read_dataset,
-                                read_sequence, write_dataset, write_sequence)
+                                SceneConfig, SimulatorError, _hash_rng,
+                                class_prototype, generate, generate_dataset,
+                                read_dataset, read_sequence, write_dataset,
+                                write_sequence)
 
 
 def _clean_scene(**kw):
@@ -51,6 +52,14 @@ class TestDeterminism:
         assert np.array_equal(class_prototype(3, 16), class_prototype(3, 16))
         assert abs(np.linalg.norm(class_prototype(3, 16)) - 1.0) < 1e-12
         assert not np.array_equal(class_prototype(3, 16), class_prototype(4, 16))
+
+    def test_prototype_is_cached_and_read_only(self):
+        proto = class_prototype(3, 16)
+        v = _hash_rng("semantic_prototype", 3, 16).normal(size=16)
+        assert np.array_equal(proto, v / np.linalg.norm(v))
+        assert class_prototype(3, 16) is proto
+        with pytest.raises(ValueError):
+            proto[0] = 0.0
 
 
 class TestMotion:
