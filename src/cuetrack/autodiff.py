@@ -20,14 +20,22 @@ inputs in the order the composition's nodes would: a leaf's gradient is
 a floating-point sum, so another order rounds differently. Softmax and
 group-norm arithmetic has one copy, shared by the primitives and the
 fused nodes.
+
+Inside ``no_grad()`` no tape is recorded: every ``Tensor`` built there
+drops its parents and its backward closure, so nothing keeps the
+intermediate arrays alive and ``backward`` reaches no node. The forward
+arithmetic is the same, and each new tensor is still checked for
+non-finite values. Code that never takes a gradient, the online tracker,
+runs under it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
-import struct
-from typing import Callable, Iterable
+import math
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -36,12 +44,34 @@ class AutodiffError(Exception):
     pass
 
 
+_recording = True
+
+
+def recording() -> bool:
+    """Whether new tensors join the tape (false inside ``no_grad``)."""
+    return _recording
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """A block in which new tensors record no parents and no backward
+    closure. Nests, and restores the previous state on exit or error."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 class Tensor:
     """A node of the computation tape.
 
     Interior nodes carry a ``_backward`` closure distributing the upstream
     gradient to their parents. Every tensor that ``backward`` reaches gets
     a ``.grad``, constants included; the tape never reads ``requires_grad``.
+    A tensor built inside ``no_grad`` keeps neither parents nor closure,
+    but its values are checked for non-finite entries all the same.
     """
 
     __slots__ = ("data", "parents", "requires_grad", "grad", "_backward", "name")
@@ -53,9 +83,9 @@ class Tensor:
         if not np.all(np.isfinite(self.data)):
             raise AutodiffError(f"non-finite values entering tensor {name or '<unnamed>'}")
         self.requires_grad = requires_grad
-        self.parents = parents
+        self.parents = parents if _recording else ()
         self.grad: np.ndarray | None = None
-        self._backward = backward
+        self._backward = backward if _recording else None
         self.name = name
 
     @property
@@ -584,21 +614,53 @@ def save_checkpoint(store: ParameterStore, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ParameterStore:
+    """Read a checkpoint as ``save_checkpoint`` writes it. The manifest
+    must list each parameter's name, shape of non-negative integers and
+    offset, packed back to back, and the blob must hold exactly their
+    values; any other header or blob raises ``AutodiffError`` naming the
+    file and the fault, as does a value that is not finite."""
+    def bad(fault: str) -> AutodiffError:
+        return AutodiffError(f"{path}: checkpoint {fault}")
+
     with open(path, "rb") as f:
         header = f.readline()
         blob = f.read()
-    manifest = json.loads(header.decode("utf-8"))
-    store = ParameterStore(seed=int(manifest.get("seed", 0)))
-    for rec in manifest["params"]:
-        shape = tuple(rec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        raw = blob[rec["offset"]:rec["offset"] + count * 4]
-        if len(raw) != count * 4:
-            raise AutodiffError(f"checkpoint truncated at parameter {rec['name']}")
-        arr = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+    try:
+        manifest = json.loads(header.decode("utf-8"))
+    except ValueError:  # a UnicodeDecodeError or a JSONDecodeError
+        manifest = None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("params"), list):
+        raise bad("header is not a JSON object with a params list")
+    seed = manifest.get("seed", 0)
+    if type(seed) is not int:
+        raise bad(f"seed {seed!r} is not an integer")
+    layout: dict[str, tuple[tuple[int, ...], int]] = {}
+    end = 0
+    for i, rec in enumerate(manifest["params"]):
+        name = rec.get("name") if isinstance(rec, dict) else None
+        if not isinstance(name, str):
+            raise bad(f"entry {i} has no string name")
+        if name in layout:
+            raise bad(f"parameter {name} is listed twice")
+        shape = rec.get("shape")
+        if not isinstance(shape, list) or not all(
+                type(s) is int and s >= 0 for s in shape):
+            raise bad(f"parameter {name} shape {shape!r} is not a list of "
+                      f"non-negative integers")
+        offset = rec.get("offset")
+        if type(offset) is not int or offset != end:
+            raise bad(f"parameter {name} offset {offset!r} is not {end}, "
+                      f"the end of the previous parameter")
+        layout[name] = (tuple(shape), offset)
+        end += math.prod(shape) * 4
+    if len(blob) != end:
+        raise bad(f"blob is {len(blob)} bytes, its parameters need {end}")
+    store = ParameterStore(seed=seed)
+    for name, (shape, offset) in layout.items():
+        arr = np.frombuffer(blob, dtype="<f4", count=math.prod(shape),
+                            offset=offset).astype(np.float64).reshape(shape)
         if not np.all(np.isfinite(arr)):
-            raise AutodiffError(
-                f"checkpoint parameter {rec['name']} has non-finite values")
-        store.entries[rec["name"]] = arr.copy()
-        store.grads[rec["name"]] = np.zeros(shape)
+            raise bad(f"parameter {name} has non-finite values")
+        store.entries[name] = arr
+        store.grads[name] = np.zeros(shape)
     return store

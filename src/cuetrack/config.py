@@ -59,16 +59,19 @@ def _defaults(preset: str) -> dict[str, Any]:
 
 def _cast(hint, value, where: str):
     """``value`` as the annotated type: nested dataclasses from mappings,
-    tuples element by element, a bool only from a bool, an int only from
-    an integral number, a float only from a finite number, other scalars
-    through their constructor."""
+    tuples element by element from a list only, a bool only from a bool,
+    an int only from an integral number, a float only from a finite
+    number, other scalars through their constructor."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        if not value:   # an empty or null value leaves an optional field unset
+        # a null or empty value leaves an optional field unset
+        if value is None or value == "" or value == []:
             return None
         hint = next(a for a in typing.get_args(hint) if a is not type(None))
     if is_dataclass(hint):
         return _build(hint, value, where)
     if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
         args = typing.get_args(hint)
         if len(args) == 2 and args[1] is Ellipsis:
             args = (args[0],) * len(value)

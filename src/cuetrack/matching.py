@@ -1,6 +1,14 @@
 """Frame-to-frame matching: descriptor score matrix, dustbin augmentation,
-log-domain Sinkhorn transport, the association loss, and an exact
-assignment solver used as a verification baseline."""
+Sinkhorn transport, the association loss, and an exact assignment solver
+used as a verification baseline.
+
+Sinkhorn has two loops computing the same map. On the tape it runs in
+the log domain, as one node whose backward replays the sweeps. Under
+``autodiff.no_grad`` it scales the matrix ``exp(L - max L)`` instead,
+which is several times faster, and falls back to the log loop when the
+logits or the scalings leave the range where the matrix loop is exact
+to rounding (see ``sinkhorn_log``).
+"""
 
 from __future__ import annotations
 
@@ -43,15 +51,54 @@ def augment_dustbin(scores: Tensor, bin_score: Tensor) -> Tensor:
     return ad.concat_cols([with_row, ad.fill((m + 1, 1), bin_score)])
 
 
+# The widest logit range the matrix loop takes: exp(-600) ~ 2.6e-261 is
+# a normal float64 (the smallest is exp(-708.4)), so every kernel entry
+# keeps full precision and the scalings have about 100 nats of room
+# before a product term of their sweeps drops out of the normal range
+_EXP_RANGE = 600.0
+
+
+def _sinkhorn_scaling(L: np.ndarray, mu: np.ndarray, nu: np.ndarray,
+                      iters: int) -> np.ndarray | None:
+    """The log-plan by matrix scaling, or None where it would lose
+    precision: a logit range past ``_EXP_RANGE``, or a scaling that is
+    non-finite or so small that ``scaling * kernel`` leaves the normal
+    range (a zero scaling included)."""
+    top = L.max()
+    span = top - L.min()
+    if span > _EXP_RANGE:
+        return None
+    K = np.exp(L - top)
+    KT = K.T.copy()
+    b = np.ones(nu.size)
+    with np.errstate(all="ignore"):
+        for _ in range(iters):
+            a = mu / (K @ b)
+            b = nu / (KT @ a)
+        floor = np.finfo(np.float64).tiny * np.exp(span)
+        for s in (a, b):
+            if not (np.isfinite(s).all() and s.min() >= floor):
+                return None
+    return (L - top) + np.log(a).reshape(-1, 1) + np.log(b).reshape(1, -1)
+
+
 def sinkhorn_log(logits: Tensor, marginals_row: np.ndarray,
                  marginals_col: np.ndarray, iters: int) -> Tensor:
-    """Log-domain Sinkhorn over augmented logits; returns the log-plan.
+    """Sinkhorn over augmented logits; returns the log-plan.
 
-    Alternates row and column scaling against log-marginals for exactly
-    ``iters`` sweeps. The whole loop is one tape node: the forward pass
-    keeps only the per-sweep scaling vectors, and the backward pass
-    replays the sweeps in reverse, giving the gradient of the unrolled
-    row/column log-sum-exp chain with the same arithmetic.
+    Alternates row and column scaling against the marginals for exactly
+    ``iters`` sweeps. On the tape, the loop runs in the log domain as one
+    node: the forward pass keeps only the per-sweep scaling vectors, and
+    the backward pass replays the sweeps in reverse, giving the gradient
+    of the unrolled row/column log-sum-exp chain with the same arithmetic.
+
+    Under ``autodiff.no_grad`` (no gradient can be asked for) the sweeps
+    run in the exp domain instead, as matrix scaling: ``K = exp(L - max
+    L)``, then ``a = mu / (K @ b)`` and ``b = nu / (K.T @ a)`` from ``b =
+    1``, giving the log-plan ``(L - max L) + log a + log b``. In exact
+    arithmetic that is the log loop's map; in float64 the two agree to
+    about 1e-14. The log loop runs instead when the logit range exceeds
+    ``_EXP_RANGE`` or a scaling comes out non-finite or underflows.
     """
     if iters < 1:
         raise MatchingError("iters must be >= 1")
@@ -66,6 +113,10 @@ def sinkhorn_log(logits: Tensor, marginals_row: np.ndarray,
     if logits.data.shape != (mu.size, nu.size):
         raise MatchingError("logits shape does not match marginals")
     L = logits.data
+    if not ad.recording():
+        log_plan = _sinkhorn_scaling(L, mu, nu, iters)
+        if log_plan is not None:
+            return Tensor(log_plan, name="sinkhorn_log")
     log_mu = np.log(mu).reshape(-1, 1)
     log_nu = np.log(nu).reshape(1, -1)
     # vs[k] is the column scaling entering sweep k; rs/us/cs are the row

@@ -120,23 +120,26 @@ def track_sequence(frames: list[tuple[float, list[Detection]]], asm: AssocModel,
                    image_h: float, image_w: float) -> list[tuple]:
     """Run the online loop; returns (frame, id, box, score, class) rows
     in frame-major, id-minor order. Each frame's detections are embedded
-    once, for matching and for the memory."""
+    once, for matching and for the memory. Tracking takes no gradient,
+    so the loop runs under ``autodiff.no_grad``: it records no tape, and
+    its Sinkhorn steps run in the exp domain."""
     memory: list[Tracklet] = []
     next_id = 0
     rows = []
     prev_t = None
-    leaves = asm.store.leaves()
-    for frame_id, (time_s, detections) in enumerate(frames):
-        if prev_t is not None and time_s <= prev_t:
-            raise TrackerError("frames out of time order")
-        prev_t = time_s
-        fused = asm.embed(detections, image_h, image_w, leaves).data \
-            if detections else None
-        ids, next_id = match_frame(detections, memory, asm, cfg, next_id,
-                                   fused, leaves)
-        memory = update_memo(memory, ids, detections, time_s, cfg, fused)
-        for tid, det in sorted(zip(ids, detections), key=lambda p: p[0]):
-            rows.append((frame_id, tid, det.box, det.score, det.class_id))
+    with ad.no_grad():
+        leaves = asm.store.leaves()
+        for frame_id, (time_s, detections) in enumerate(frames):
+            if prev_t is not None and time_s <= prev_t:
+                raise TrackerError("frames out of time order")
+            prev_t = time_s
+            fused = asm.embed(detections, image_h, image_w, leaves).data \
+                if detections else None
+            ids, next_id = match_frame(detections, memory, asm, cfg, next_id,
+                                       fused, leaves)
+            memory = update_memo(memory, ids, detections, time_s, cfg, fused)
+            for tid, det in sorted(zip(ids, detections), key=lambda p: p[0]):
+                rows.append((frame_id, tid, det.box, det.score, det.class_id))
     return rows
 
 

@@ -1,5 +1,7 @@
 """Reverse-mode autodiff: primitive gradients vs finite differences,
-tape mechanics, the parameter store and checkpoint round-trips."""
+tape mechanics, the no-tape mode, the parameter store and checkpoint
+round-trips and checks."""
+import json
 import os
 import struct
 
@@ -12,8 +14,9 @@ from cuetrack.autodiff import (AutodiffError, ParameterStore, Tensor, add,
                                concat_cols, concat_rows, constant, exp, fill,
                                grad_check, group_norm, load_checkpoint,
                                logsumexp_cols, logsumexp_rows, matmul,
-                               mean_rows, mul, relu, save_checkpoint, scale,
-                               slice_cols, softmax_rows, total, transpose)
+                               mean_rows, mul, no_grad, recording, relu,
+                               save_checkpoint, scale, slice_cols,
+                               softmax_rows, total, transpose)
 
 RNG = np.random.default_rng(12345)
 
@@ -172,6 +175,40 @@ class TestTapeMechanics:
         assert b.grad.shape == (n, m)
 
 
+class TestNoGrad:
+    def test_records_no_parents_and_no_closure(self):
+        a = Tensor(np.array([[2.0]]), requires_grad=True)
+        with no_grad():
+            out = add(mul(a, a), a)
+        assert np.array_equal(out.data, [[6.0]])
+        assert out.parents == () and out._backward is None
+        out.backward()
+        assert a.grad is None  # the tape ends at ``out``
+
+    def test_finite_check_stays(self):
+        with no_grad(), np.errstate(over="ignore"), \
+                pytest.raises(AutodiffError, match="non-finite"):
+            exp(constant(np.array([[1000.0]])))
+
+    def test_nests_and_restores(self):
+        assert recording()
+        with no_grad():
+            with no_grad():
+                assert not recording()
+            assert not recording()
+        assert recording()
+        a = Tensor(np.array([[1.0]]), requires_grad=True)
+        assert scale(a, 2.0).parents == (a,)
+
+    def test_restores_after_an_exception(self):
+        with pytest.raises(ValueError), no_grad():
+            with pytest.raises(KeyError), no_grad():
+                raise KeyError("inner")
+            assert not recording()
+            raise ValueError("outer")
+        assert recording()
+
+
 class TestParameterStore:
     def test_init_is_order_independent(self):
         s1 = ParameterStore(seed=5)
@@ -270,3 +307,86 @@ class TestCheckpoints:
             fh.write(raw[:at] + struct.pack("<f", float("nan")) + raw[at + 4:])
         with pytest.raises(AutodiffError, match="parameter enc.W has non-finite"):
             load_checkpoint(path)
+
+
+def _edit_manifest(manifest, case):
+    rec = manifest["params"][1]
+    if case == "no params":
+        del manifest["params"]
+    elif case == "params not a list":
+        manifest["params"] = {"w": rec}
+    elif case == "entry not an object":
+        manifest["params"][1] = ["w", [2, 2], 0]
+    elif case == "name":
+        rec["name"] = 7
+    elif case == "duplicate name":
+        rec["name"] = manifest["params"][0]["name"]
+    elif case == "non-integer shape":
+        rec["shape"] = [2.5, 2]
+    elif case == "negative shape":
+        rec["shape"] = [-2, -2]
+    elif case == "offset":
+        rec["offset"] += 4
+    elif case == "seed":
+        manifest["seed"] = "nine"
+
+
+class TestCheckpointChecks:
+    @staticmethod
+    def _saved(tmp_path):
+        store = ParameterStore(seed=9)
+        store.create("a", (2, 3))
+        store.create("b", (2, 2))
+        path = str(tmp_path / "ckpt.bin")
+        save_checkpoint(store, path)
+        with open(path, "rb") as fh:
+            header, blob = fh.read().split(b"\n", 1)
+        return path, json.loads(header), blob
+
+    @pytest.mark.parametrize("case, fault", [
+        ("no params", "header is not a JSON object with a params list"),
+        ("params not a list", "header is not a JSON object with a params list"),
+        ("entry not an object", "entry 1 has no string name"),
+        ("name", "entry 1 has no string name"),
+        ("duplicate name", "parameter a is listed twice"),
+        ("non-integer shape", "parameter b shape [2.5, 2] is not a list of "
+                              "non-negative integers"),
+        ("negative shape", "parameter b shape [-2, -2] is not a list of "
+                           "non-negative integers"),
+        ("offset", "parameter b offset 28 is not 24, the end of the "
+                   "previous parameter"),
+        ("seed", "seed 'nine' is not an integer"),
+    ])
+    def test_bad_manifest_named(self, tmp_path, case, fault):
+        path, manifest, blob = self._saved(tmp_path)
+        _edit_manifest(manifest, case)
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(manifest).encode() + b"\n" + blob)
+        with pytest.raises(AutodiffError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: checkpoint {fault}"
+
+    @pytest.mark.parametrize("header", [b"\xff{}", b"[1, 2]", b"{", b""])
+    def test_header_not_a_json_object(self, tmp_path, header):
+        path, _, blob = self._saved(tmp_path)
+        with open(path, "wb") as fh:
+            fh.write(header + b"\n" + blob)
+        with pytest.raises(AutodiffError, match="header is not a JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut, extra", [(4, b""), (40, b""), (0, b"\0")])
+    def test_blob_of_another_length(self, tmp_path, cut, extra):
+        path, manifest, blob = self._saved(tmp_path)
+        blob = blob[:len(blob) - cut] + extra
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(manifest).encode() + b"\n" + blob)
+        with pytest.raises(AutodiffError) as err:
+            load_checkpoint(path)
+        assert str(err.value).endswith(
+            f"checkpoint blob is {len(blob)} bytes, its parameters need 40")
+
+    def test_empty_store_round_trips(self, tmp_path):
+        path = str(tmp_path / "ckpt.bin")
+        save_checkpoint(ParameterStore(seed=4), path)
+        loaded = load_checkpoint(path)
+        assert loaded.seed == 4 and loaded.entries == {}

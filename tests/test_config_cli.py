@@ -282,7 +282,11 @@ class TestCli:
                 ("scene.fps=abc", "scene.fps must be a float, got 'abc'"),
                 ("scene.fps=0", "scene: fps and duration must be positive"),
                 ('scene.profiles=[{"class_id": 0, "motion_kind": "spin"}]',
-                 "scene.profiles[0]: unknown motion kind 'spin'")):
+                 "scene.profiles[0]: unknown motion kind 'spin'"),
+                ("model.refine_widths=16",
+                 "model.refine_widths must be a list, got 16"),
+                ("model.refine_widths=abc",
+                 "model.refine_widths must be a list, got 'abc'")):
             assert main(["simulate", "--out", str(out),
                          "--set", override]) == 2, override
             assert message in capsys.readouterr().err
@@ -363,6 +367,38 @@ class TestCli:
         assert (f"checkpoint parameter {rec['name']} has non-finite values"
                 in capsys.readouterr().err)
         assert not results.exists()
+
+    def test_track_rejects_a_damaged_checkpoint(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        ckpt = tmp_path / "model.ckpt"
+        results = tmp_path / "r.csv"
+        assert main(["simulate", "--out", data, "--num-sequences", "2",
+                     *FAST]) == 0
+        assert main(["train", "--data", data, "--out", str(ckpt), *FAST]) == 0
+        raw = ckpt.read_bytes()
+        header, blob = raw.split(b"\n", 1)
+        manifest = json.loads(header)
+        bad_shape = json.loads(header)
+        bad_shape["params"][0]["shape"] = [2.5, 8]
+        name = bad_shape["params"][0]["name"]
+        for damaged, fault in (
+                (raw[:-4], f"blob is {len(blob) - 4} bytes, its parameters "
+                           f"need {len(blob)}"),
+                (bytes([raw[0] ^ 0xFF]) + raw[1:],
+                 "header is not a JSON object with a params list"),
+                (json.dumps({"seed": manifest["seed"]}).encode() + b"\n" + blob,
+                 "header is not a JSON object with a params list"),
+                (json.dumps(bad_shape).encode() + b"\n" + blob,
+                 f"parameter {name} shape [2.5, 8] is not a list of "
+                 f"non-negative integers"),
+                (raw + b"\0\0\0\0", f"blob is {len(blob) + 4} bytes, its "
+                                    f"parameters need {len(blob)}")):
+            ckpt.write_bytes(damaged)
+            capsys.readouterr()
+            assert main(["track", "--ckpt", str(ckpt), "--data", data,
+                         "--out", str(results), *FAST]) == 1, fault
+            assert f"error: {ckpt}: checkpoint {fault}" in capsys.readouterr().err
+            assert not results.exists()
 
     def test_track_rejects_checkpoint_of_another_layer_count(self, tmp_path,
                                                               capsys):

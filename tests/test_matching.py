@@ -185,6 +185,44 @@ class TestFusedSinkhorn:
         assert lp.parents == (x,)
 
 
+def _both_loops(logits, rows, cols, iters):
+    """The log-plan on the tape and under ``no_grad``."""
+    on_tape = sinkhorn_log(constant(logits), rows, cols, iters).data
+    with ad.no_grad():
+        off_tape = sinkhorn_log(constant(logits), rows, cols, iters).data
+    return on_tape, off_tape
+
+
+class TestMatrixScalingSinkhorn:
+    @pytest.mark.parametrize("logits, rows, cols, iters", _equivalence_cases())
+    def test_agrees_with_log_domain(self, logits, rows, cols, iters):
+        on_tape, off_tape = _both_loops(logits, rows, cols, iters)
+        assert np.max(np.abs(off_tape - on_tape)) <= 1e-12
+
+    def test_past_range_bound_runs_log_loop(self):
+        # one logit 650 below the rest; the matrix loop would still give
+        # finite scalings here, but rounded otherwise than the log loop
+        logits = np.random.default_rng(5).normal(size=(4, 5))
+        logits[0, 0] = -650.0
+        on_tape, off_tape = _both_loops(logits, *uniform_dustbin_marginals(3, 4),
+                                        100)
+        assert np.array_equal(off_tape, on_tape)
+
+    def test_underflowing_scaling_runs_log_loop(self):
+        # a row marginal of 1e-320 gives a subnormal row scaling, with which
+        # the matrix loop would be off by about 1e-4
+        logits = np.random.default_rng(6).normal(size=(3, 4))
+        rows, cols = np.array([1.0, 1.0, 1e-320]), np.full(4, 0.5)
+        on_tape, off_tape = _both_loops(logits, rows, cols, 100)
+        assert np.array_equal(off_tape, on_tape)
+
+    def test_no_tape_node(self):
+        x = Tensor(np.zeros((3, 4)), requires_grad=True)
+        with ad.no_grad():
+            lp = sinkhorn_log(x, *uniform_dustbin_marginals(2, 3), iters=100)
+        assert lp.parents == () and lp.name == "sinkhorn_log"
+
+
 class TestAssociationLoss:
     def test_hand_value(self):
         lp = constant(np.log(np.array([[0.5, 0.5], [0.25, 0.75]])))

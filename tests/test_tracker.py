@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from cuetrack import heads
-from cuetrack.autodiff import constant
+from cuetrack.autodiff import (Tensor, constant, load_checkpoint, recording,
+                               save_checkpoint)
+from cuetrack.cli import main
 from cuetrack.geometry import Box
 from cuetrack.model import AssocModel, ModelConfig
-from cuetrack.simulator import (ClassProfile, Detection, NoiseConfig,
-                                SceneConfig, generate, generate_dataset)
+from cuetrack.simulator import (ClassProfile, Detection, FrameSample,
+                                NoiseConfig, SceneConfig, generate,
+                                generate_dataset, write_dataset)
 from cuetrack.tracker import (TrackerConfig, TrackerError, Tracklet,
                               dynamic_threshold, match_frame, read_results,
                               track_sequence, update_memo, write_results)
@@ -298,6 +301,75 @@ class TestTrackSequenceEquivalence:
         track_sequence(frames, _model(sinkhorn_iters=100), TrackerConfig(), H, W)
         with_dets = sum(1 for _, dets in frames if dets)
         assert len(calls) == 3 * with_dets
+
+
+def _parents_of_built_tensors(monkeypatch) -> list[tuple]:
+    """The parents of every ``Tensor`` built from now on."""
+    built = []
+    init = Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.parents)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    return built
+
+
+class TestNoTape:
+    def test_track_sequence_builds_no_tape(self, monkeypatch):
+        frames = [(f.time_s, f.detections) for f in generate(_scene(seed=41))]
+        asm = _model(sinkhorn_iters=100)
+        built = _parents_of_built_tensors(monkeypatch)
+        track_sequence(frames, asm, TrackerConfig(), H, W)
+        assert len(built) > 100
+        assert not any(built)
+        assert recording()
+
+    def test_match_frame_alone_records_the_tape(self, monkeypatch):
+        asm = _model()
+        frames = generate(_scene(seed=41))
+        fused, leaves = _embedded(asm, frames[0].detections)
+        memory = update_memo([], list(range(len(fused))), frames[0].detections,
+                             frames[0].time_s, TrackerConfig(), fused)
+        key_fused = _embedded(asm, frames[1].detections)[0]
+        built = _parents_of_built_tensors(monkeypatch)
+        match_frame(frames[1].detections, memory, asm, TrackerConfig(),
+                    len(fused), key_fused, leaves)
+        assert any(built)
+
+
+# the image size and the model of ``_model``, as ``cuetrack`` flags
+_TRACK_FLAGS = [
+    "--set", "scene.image_h=600", "--set", "scene.image_w=800",
+    "--set", "scene.semantic_dim=8", "--set", "scene.appearance_dim=8",
+    "--set", "model.descriptor_dim=8", "--set", "model.head_hidden=16",
+    "--set", "model.num_layers=2", "--set", "model.num_heads=2",
+    "--set", "model.refine_widths=[16,8]",
+]
+
+
+class TestTrackCli:
+    def test_empty_and_single_detection_frames(self, tmp_path):
+        """An empty frame; one detection against a one-track memory (a 2x2
+        augmented plan); then pairs of identical detections, whose tied
+        plan cells break in row, then column order."""
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(_trained_model().store, ckpt)
+        asm = AssocModel(dataclasses.replace(_model().cfg, sinkhorn_iters=100),
+                         store=load_checkpoint(ckpt))
+        frames = generate(_scene(seed=41))
+        dets = [[frames[0].detections[0]], [], [frames[2].detections[0]],
+                [frames[3].detections[0]] * 2, [frames[4].detections[0]] * 2]
+        write_dataset([[FrameSample(k, 0.5 * k, d) for k, d in enumerate(dets)]],
+                      str(tmp_path / "data"))
+        results = str(tmp_path / "r.csv")
+        assert main(["track", "--ckpt", ckpt, "--data", str(tmp_path / "data"),
+                     "--out", results, *_TRACK_FLAGS]) == 0
+        expected = [r[:2] for r in _reference_track(
+            [(0.5 * k, d) for k, d in enumerate(dets)], asm, TrackerConfig())]
+        assert expected == [(0, 0), (2, 0), (3, 0), (3, 1), (4, 0), (4, 1)]
+        assert [r[:2] for r in read_results(results)] == expected
 
 
 class TestResultsIO:
