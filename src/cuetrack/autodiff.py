@@ -511,15 +511,11 @@ class ParameterStore:
         self.grads: dict[str, np.ndarray] = {}
 
     def create(self, name: str, shape: tuple, init: str = "xavier") -> np.ndarray:
-        """A new parameter, or the existing one of that name, which must
-        have the requested shape (a checkpoint must fit the model)."""
+        """A new parameter with a zero gradient slot; a name the store
+        already holds raises."""
         shape = tuple(int(s) for s in shape)
         if name in self.entries:
-            if self.entries[name].shape != shape:
-                raise AutodiffError(
-                    f"parameter {name} has shape {self.entries[name].shape}, "
-                    f"the model needs {shape}")
-            return self.entries[name]
+            raise AutodiffError(f"parameter {name} already exists")
         if init == "xavier":
             fan_in = shape[0]
             fan_out = shape[1] if len(shape) > 1 else shape[0]

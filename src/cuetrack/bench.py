@@ -67,20 +67,26 @@ class ArmResult:
     report: EvalReport
 
 
+# Each ablation arm's ModelConfig and TrainConfig settings over run_arm's
+# defaults; gt_only trains on annotated ground-truth boxes alone.
+ARMS: dict[str, tuple[dict, dict]] = {
+    "full": ({}, {}),
+    "loc_only": ({"use_semantic": False, "use_appearance": False}, {}),
+    "app_only": ({"use_semantic": False, "use_location": False}, {}),
+    "gt_only": ({}, {"gt_only": True}),
+}
+
+
 def run_arm(name: str,
             train_set: list[list[FrameSample]],
             test_set: list[list[FrameSample]],
-            use_semantic: bool = True,
-            use_location: bool = True,
-            use_appearance: bool = True,
-            gt_only: bool = False,
             epochs: int = EPOCHS) -> ArmResult:
-    """Train one configuration on the benchmark and evaluate it."""
+    """Train the ``ARMS`` arm ``name`` on the benchmark and evaluate it."""
+    model_settings, train_settings = ARMS[name]
     mcfg = ModelConfig(descriptor_dim=32, semantic_dim=16, appearance_dim=16,
-                       use_semantic=use_semantic, use_location=use_location,
-                       use_appearance=use_appearance, seed=MODEL_SEED)
+                       seed=MODEL_SEED, **model_settings)
     asm = AssocModel(mcfg)
-    tcfg = TrainConfig(epochs=epochs, batch_pairs=16, gt_only=gt_only,
-                       seed=OPT_SEED)
+    tcfg = TrainConfig(epochs=epochs, batch_pairs=16, seed=OPT_SEED,
+                       **train_settings)
     train(train_set, tcfg, asm, IMAGE_H, IMAGE_W)
     return ArmResult(name, evaluate_tracker(asm, test_set))

@@ -44,21 +44,17 @@ def _layer_names(prefix: str, i: int) -> tuple[str, str, str, str]:
 
 
 def init_mlp(store: ParameterStore, prefix: str, in_w: int,
-             widths: tuple[int, ...]) -> list[str]:
-    """Weight and bias for every layer, group-norm gain and shift for all
-    but the last; returns the parameter names."""
-    names = []
+             widths: tuple[int, ...]) -> None:
+    """Create weight and bias for every layer, group-norm gain and shift
+    for all but the last."""
     for i, out_w in enumerate(widths):
         w, b, gamma, beta = _layer_names(prefix, i)
         store.create(w, (in_w, out_w), "xavier")
         store.create(b, (1, out_w), "zeros")
-        names += [w, b]
         if i < len(widths) - 1:
             store.create(gamma, (1, out_w), "ones")
             store.create(beta, (1, out_w), "zeros")
-            names += [gamma, beta]
         in_w = out_w
-    return names
 
 
 def mlp(leaves: dict[str, Tensor], prefix: str, x: Tensor, depth: int) -> Tensor:
@@ -74,8 +70,8 @@ def mlp(leaves: dict[str, Tensor], prefix: str, x: Tensor, depth: int) -> Tensor
     return x
 
 
-def init_head(spec: HeadSpec, store: ParameterStore) -> list[str]:
-    return init_mlp(store, f"{spec.name}.l", spec.input_width, spec.widths)
+def init_head(spec: HeadSpec, store: ParameterStore) -> None:
+    init_mlp(store, f"{spec.name}.l", spec.input_width, spec.widths)
 
 
 def head_forward(spec: HeadSpec, leaves: dict[str, Tensor], x: Tensor) -> Tensor:

@@ -84,8 +84,9 @@ def _cue_rows(cue: str, vecs: list[np.ndarray], width: int) -> np.ndarray:
 class AssocModel:
     """Owns the parameter store and runs frame-pair forwards.
 
-    A given store (a loaded checkpoint) must hold exactly the parameters
-    the model creates, each of the shape the model needs.
+    The model declares its parameters into a fresh store: heads, STOG,
+    dustbin. A given store (a loaded checkpoint) must match it in names
+    and shapes, and then replaces it.
     """
 
     def __init__(self, cfg: ModelConfig, store: ParameterStore | None = None):
@@ -96,24 +97,25 @@ class AssocModel:
                 ("sem", cfg.semantic_dim, cfg.use_semantic),
                 ("loc", cfg.location_width, cfg.use_location),
                 ("app", cfg.appearance_dim, cfg.use_appearance)) if on)
-        self.store = store if store is not None else ParameterStore(cfg.seed)
-        given = set(self.store.entries)
-        names = self._init_params()
-        if store is not None and names != given:
-            name = min(names ^ given)
-            raise ModelError(
-                f"parameter {name} is missing from the checkpoint" if name in names
-                else f"checkpoint parameter {name} is not a parameter of the model")
-
-    def _init_params(self) -> set[str]:
-        """Create every parameter, with no head for a disabled cue; returns
-        their names."""
-        names = set()
+        self.store = ParameterStore(cfg.seed)
         for spec in self.head_specs:
-            names.update(heads.init_head(spec, self.store))
-        names.update(stog.init_stog(self.cfg, self.store))
+            heads.init_head(spec, self.store)
+        stog.init_stog(cfg, self.store)
         self.store.create("dustbin", (1, 1), "ones")  # learnable bin score
-        return names | {"dustbin"}
+        if store is not None:
+            # shapes first, in declaration order; then the first name, sorted,
+            # that only one side holds
+            needed, given = self.store.entries, store.entries
+            for name, arr in needed.items():
+                if name in given and given[name].shape != arr.shape:
+                    raise ModelError(f"parameter {name} has shape {given[name].shape}, "
+                                     f"the model needs {arr.shape}")
+            if needed.keys() != given.keys():
+                name = min(needed.keys() ^ given.keys())
+                raise ModelError(
+                    f"parameter {name} is missing from the checkpoint" if name in needed
+                    else f"checkpoint parameter {name} is not a parameter of the model")
+            self.store = store
 
     # -- embedding --------------------------------------------------------
 

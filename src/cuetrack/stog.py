@@ -19,17 +19,14 @@ class StogError(Exception):
     pass
 
 
-def init_stog(cfg: ModelConfig, store: ParameterStore) -> list[str]:
-    """Create every layer's parameters; returns their names."""
+def init_stog(cfg: ModelConfig, store: ParameterStore) -> None:
+    """Create every layer's attention projections and refine MLP."""
     d = cfg.descriptor_dim
-    names = []
     for i in range(cfg.num_layers):
         p = f"stog.l{i}"
         for proj in ("Wq", "Wk", "Wv", "Wo"):
             store.create(f"{p}.{proj}", (d, d), "xavier")
-            names.append(f"{p}.{proj}")
-        names += heads.init_mlp(store, f"{p}.mlp", 2 * d, cfg.refine)
-    return names
+        heads.init_mlp(store, f"{p}.mlp", 2 * d, cfg.refine)
 
 
 def attention(queries_from: Tensor, keys_values_from: Tensor,

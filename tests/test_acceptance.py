@@ -52,16 +52,8 @@ def verdict(label):
 @pytest.fixture(scope="module")
 def benchmark_arms():
     train_set, test_set = bench.benchmark_data()
-    arms = {
-        "full": bench.run_arm("full", train_set, test_set),
-        "loc_only": bench.run_arm("loc_only", train_set, test_set,
-                                  use_semantic=False, use_appearance=False),
-        "app_only": bench.run_arm("app_only", train_set, test_set,
-                                  use_semantic=False, use_location=False),
-        "gt_only": bench.run_arm("gt_only", train_set, test_set,
-                                 gt_only=True),
-    }
-    return arms
+    return {name: bench.run_arm(name, train_set, test_set)
+            for name in bench.ARMS}
 
 
 def test_01_gradient_correctness():
@@ -380,9 +372,25 @@ def test_08_tracker_memory_and_determinism(tmp_path):
                              "--out", res, "--seed", "3", *fast]) == 0
             outputs.append(open(res, "rb").read())
         assert outputs[0] == outputs[1]
-        # pinned: a refactor must leave this pipeline's CSV byte-identical
-        assert hashlib.sha256(outputs[0]).hexdigest() == \
-            "226190ca0b6f19bca694f49aff908c6ad6b6b6e8a76921bbd3fa479d738d723c"
+        base = tmp_path / "a"
+        assert cli_main(["eval", "--pred", str(base / "results.csv"),
+                         "--gt", str(base / "data"),
+                         "--out", str(base / "report.csv")]) == 0
+        # pinned: a refactor must leave every output of this pipeline
+        # byte-identical
+        pins = {
+            "results.csv": "226190ca0b6f19bca694f49aff908c6a"
+                           "d6b6b6e8a76921bbd3fa479d738d723c",
+            "model_loss.csv": "12f455246d9467064d5bff13b9791b33"
+                              "5daaf8b0a6792986cf69fe07f6608bc5",
+            "model.ckpt": "e1573eb69066721cdbaf234d7335be0a"
+                          "b895952253f2a2103e8e10b31a2f7e9a",
+            "report.csv": "df5b0f1e1195f78bb882ff9bf15ae1e1"
+                          "113616754d080540675c460e32093375",
+        }
+        for name, digest in pins.items():
+            assert hashlib.sha256((base / name).read_bytes()).hexdigest() \
+                == digest, name
 
 
 def test_09_stog_permutation_equivariance():

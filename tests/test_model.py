@@ -127,6 +127,37 @@ class TestCheckpointReload:
         # float32 storage: near-identical, not bitwise
         assert np.max(np.abs(a.data - b.data)) < 1e-5
 
+    def test_loaded_store_is_adopted_unchanged(self):
+        store = AssocModel(_cfg(seed=4)).store
+        before = {n: a.copy() for n, a in store.entries.items()}
+        asm = AssocModel(_cfg(seed=99), store=store)
+        assert asm.store is store
+        assert store.entries.keys() == before.keys()
+        for name, value in before.items():
+            assert np.array_equal(store.entries[name], value), name
+
+    def test_mismatch_reported_shapes_first_then_names(self):
+        # shapes in declaration order (heads, STOG, dustbin), then the
+        # first name, sorted, that only one side holds
+        store = AssocModel(_cfg()).store
+        sem_w = store.entries.pop("sem.l0.W")
+        store.entries["zz.extra"] = np.zeros((1, 1))
+        store.entries["dustbin"] = np.zeros((2, 2))
+        store.entries["stog.l1.Wq"] = np.zeros((4, 4))
+        for message, name, fix in (
+                (r"parameter stog\.l1\.Wq has shape \(4, 4\), the model "
+                 r"needs \(8, 8\)", "stog.l1.Wq", np.zeros((8, 8))),
+                (r"parameter dustbin has shape \(2, 2\), the model needs "
+                 r"\(1, 1\)", "dustbin", np.ones((1, 1))),
+                (r"parameter sem\.l0\.W is missing from the checkpoint",
+                 "sem.l0.W", sem_w),
+                (r"checkpoint parameter zz\.extra is not a parameter of "
+                 r"the model", None, None)):
+            with pytest.raises(ModelError, match=f"^{message}$"):
+                AssocModel(_cfg(), store=store)
+            if name:
+                store.entries[name] = fix
+
     def test_loaded_dustbin_not_reset(self, tmp_path):
         asm = AssocModel(_cfg())
         asm.store.entries["dustbin"][0, 0] = 2.5
