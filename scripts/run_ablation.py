@@ -16,6 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cuetrack import bench
+from cuetrack.metrics import format_accuracy
 
 
 def main() -> int:
@@ -34,7 +35,8 @@ def main() -> int:
         arm = bench.run_arm(name, train_set, test_set, epochs=args.epochs)
         results[name] = arm.report
         r = arm.report
-        print(f"{name:9s} accuracy={r.association_accuracy:.4f} "
+        acc = format_accuracy(r.association_accuracy, ".4f")
+        print(f"{name:9s} accuracy={acc} "
               f"switches={r.id_switches:4d} tracks={r.track_count} "
               f"({time.time() - t0:.0f}s)")
 
@@ -42,7 +44,8 @@ def main() -> int:
     print()
     for name, r in results.items():
         if name != "full":
-            print(f"full - {name:8s} = {full - r.association_accuracy:+.4f}")
+            print(f"full - {name:8s} = "
+                  f"{format_accuracy(full - r.association_accuracy, '+.4f')}")
 
     if args.out:
         with open(args.out, "w", newline="") as f:
@@ -50,7 +53,7 @@ def main() -> int:
             w.writerow(["arm", "association_accuracy", "id_switches",
                         "track_count", "gt_count"])
             for name, r in results.items():
-                w.writerow([name, f"{r.association_accuracy:.6f}",
+                w.writerow([name, format_accuracy(r.association_accuracy),
                             r.id_switches, r.track_count, r.gt_count])
         print(f"wrote {args.out}")
     return 0

@@ -24,9 +24,18 @@ fused nodes.
 Inside ``no_grad()`` no tape is recorded: every ``Tensor`` built there
 drops its parents and its backward closure, so nothing keeps the
 intermediate arrays alive and ``backward`` reaches no node. The forward
-arithmetic is the same, and each new tensor is still checked for
-non-finite values. Code that never takes a gradient, the online tracker,
-runs under it.
+arithmetic is the same. Code that never takes a gradient, the online
+tracker, runs under it.
+
+A tensor's values are not checked for non-finite entries as it is built.
+Values are checked where they enter the model (the data, config and
+checkpoint readers, ``AssocModel.cue_inputs``, ``matching.sinkhorn``)
+and where its results leave it (each tracked frame's descriptors and
+plan, each training pair's loss and each step's gradients);
+``multihead_attention`` checks its own logits. Inside ``checked()``
+every new tensor is checked and a non-finite one raises
+``AutodiffError`` naming its op: a boundary check that fails re-runs its
+frame or pair there, so the error names the first op that made the value.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ class AutodiffError(Exception):
 
 
 _recording = True
+_checking = False
 
 
 def recording() -> bool:
@@ -64,14 +74,27 @@ def no_grad() -> Iterator[None]:
         _recording = saved
 
 
+@contextlib.contextmanager
+def checked() -> Iterator[None]:
+    """A block in which every new tensor is checked for non-finite values
+    and raises ``AutodiffError`` naming its op. Nests, and restores the
+    previous state on exit or error."""
+    global _checking
+    saved, _checking = _checking, True
+    try:
+        yield
+    finally:
+        _checking = saved
+
+
 class Tensor:
     """A node of the computation tape.
 
     Interior nodes carry a ``_backward`` closure distributing the upstream
     gradient to their parents. Every tensor that ``backward`` reaches gets
     a ``.grad``, constants included; the tape never reads ``requires_grad``.
-    A tensor built inside ``no_grad`` keeps neither parents nor closure,
-    but its values are checked for non-finite entries all the same.
+    A tensor built inside ``no_grad`` keeps neither parents nor closure.
+    Its values are checked for non-finite entries only inside ``checked``.
     """
 
     __slots__ = ("data", "parents", "requires_grad", "grad", "_backward", "name")
@@ -80,7 +103,7 @@ class Tensor:
                  backward: Callable[[np.ndarray], None] | None = None,
                  name: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)):
+        if _checking and not np.isfinite(self.data).all():
             raise AutodiffError(f"non-finite values entering tensor {name or '<unnamed>'}")
         self.requires_grad = requires_grad
         self.parents = parents if _recording else ()
@@ -447,7 +470,8 @@ def multihead_attention(xq, xkv, Wq: Tensor, Wk: Tensor, Wv: Tensor,
     Head h takes columns [h*dh, (h+1)*dh) of the projections, dh =
     d / num_heads: softmax(q_h k_h^T / sqrt(dh)) v_h. The heads are
     concatenated and projected by ``Wo``. The attention logits are
-    checked for overflow as the primitive nodes would check them.
+    always checked for overflow: a -inf logit beside finite ones leaves
+    the output finite, so no check on the model's results would see it.
     """
     xq, xkv = _wrap(xq), _wrap(xkv)
     q = xq.data @ Wq.data

@@ -87,7 +87,8 @@ def cmd_eval(args) -> int:
     _, gt_frames = metrics.pool_sequences(dataset)
     report = metrics.association_accuracy(pred, gt_frames, iou_thr=args.iou_thr)
     metrics.write_report(report, args.out)
-    print(f"association_accuracy {report.association_accuracy:.4f} "
+    print(f"association_accuracy "
+          f"{metrics.format_accuracy(report.association_accuracy, '.4f')} "
           f"id_switches {report.id_switches} -> {args.out}")
     return 0
 

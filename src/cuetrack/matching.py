@@ -157,7 +157,11 @@ def sinkhorn_log(logits: Tensor, marginals_row: np.ndarray,
 
 def sinkhorn(logits_aug: np.ndarray, marginals_row: np.ndarray,
              marginals_col: np.ndarray, iters: int = 100) -> TransportPlan:
-    """Plan values of the ``sinkhorn_log`` node over constant logits."""
+    """Plan values of the ``sinkhorn_log`` node over constant logits,
+    which must be finite."""
+    logits_aug = np.asarray(logits_aug, dtype=np.float64)
+    if not np.isfinite(logits_aug).all():
+        raise MatchingError("logits must be finite")
     log_plan = sinkhorn_log(ad.constant(logits_aug), marginals_row,
                             marginals_col, iters)
     return TransportPlan(values=np.exp(log_plan.data))

@@ -4,6 +4,7 @@ Gaussian KDE, and per-class motion analysis."""
 from __future__ import annotations
 
 import csv
+import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass
@@ -45,6 +46,10 @@ def association_accuracy(pred: list[tuple], gt_frames: list[FrameSample],
     consecutive frames where it was matched form a pair; the pair counts
     as correct when the predicted id stays the same. An id change between
     consecutive matched frames is one id switch.
+
+    When no GT track appears in two consecutive frames there is nothing
+    to score, and the accuracy is NaN (``format_accuracy`` prints it as
+    "undefined"). Predictions that match no such GT pair score 0.0.
     """
     pred_by_frame: dict[int, list[tuple[int, Box]]] = defaultdict(list)
     for frame_id, tid, box, _score, _cid in pred:
@@ -57,9 +62,11 @@ def association_accuracy(pred: list[tuple], gt_frames: list[FrameSample],
     matched: dict[int, list[tuple[int, int]]] = defaultdict(list)
     pred_ids_seen: set[int] = set()
     gt_ids_seen: set[int] = set()
+    gt_at: set[tuple[int, int]] = set()   # (gt track id, frame)
     for fr in gt_frames:
         gts = fr.gt or []
         gt_ids_seen.update(tid for tid, _, _ in gts)
+        gt_at.update((tid, fr.frame_id) for tid, _, _ in gts)
         preds = pred_by_frame.get(fr.frame_id, [])
         pred_ids_seen.update(tid for tid, _ in preds)
         pairs = _match_frame([b for _, b in preds], [b for _, b, _ in gts], iou_thr)
@@ -78,7 +85,12 @@ def association_accuracy(pred: list[tuple], gt_frames: list[FrameSample],
                     agree += 1
             if p0 != p1:
                 switches += 1
-    acc = agree / pairs_total if pairs_total else 0.0
+    if pairs_total:
+        acc = agree / pairs_total
+    elif any((tid, f + 1) in gt_at for tid, f in gt_at):
+        acc = 0.0
+    else:
+        acc = float("nan")
     return EvalReport(association_accuracy=acc, id_switches=switches,
                       track_count=len(pred_ids_seen), gt_count=len(gt_ids_seen))
 
@@ -185,12 +197,18 @@ def class_motion_report(sequences: list[list[FrameSample]],
     return out
 
 
+def format_accuracy(acc: float, spec: str = ".6f") -> str:
+    """An association accuracy in ``spec``, or "undefined" for the NaN of
+    a scene with nothing to score."""
+    return "undefined" if math.isnan(acc) else format(acc, spec)
+
+
 def write_report(report: EvalReport, path: str) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["association_accuracy", "id_switches",
                          "track_count", "gt_count"])
-        writer.writerow([f"{report.association_accuracy:.6f}",
+        writer.writerow([format_accuracy(report.association_accuracy),
                          report.id_switches, report.track_count,
                          report.gt_count])
 

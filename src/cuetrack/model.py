@@ -69,7 +69,10 @@ def paper_preset() -> ModelConfig:
 
 
 def _cue_rows(cue: str, vecs: list[np.ndarray], width: int) -> np.ndarray:
-    """One cue's vectors stacked into the (N, width) input of its head."""
+    """One cue's vectors stacked into the (N, width) input of its head.
+    A vector of another width or a value that is not finite raises
+    ``ModelError`` naming the cue: these rows are where values enter the
+    model."""
     try:
         rows = np.stack(vecs)
     except ValueError:
@@ -78,6 +81,8 @@ def _cue_rows(cue: str, vecs: list[np.ndarray], width: int) -> np.ndarray:
         bad = next(v for v in vecs if np.shape(v) != (width,))
         raise ModelError(f"{cue} vector of width {np.size(bad)}, the "
                          f"model needs {width}")
+    if not np.isfinite(rows).all():
+        raise ModelError(f"{cue} vectors hold a value that is not finite")
     return rows
 
 
@@ -122,18 +127,19 @@ class AssocModel:
     def cue_inputs(self, dets: list[Detection], image_h: float,
                    image_w: float) -> list[np.ndarray]:
         """The (N, width) input of each enabled cue's head, in
-        ``head_specs`` order; a disabled cue's vectors are not read."""
+        ``head_specs`` order; a disabled cue's vectors are not read. Each
+        is checked for width and for values that are not finite."""
         cfg = self.cfg
         inputs = []
         if cfg.use_semantic:
             inputs.append(_cue_rows("semantic", [d.semantic_vec for d in dets],
                                     cfg.semantic_dim))
         if cfg.use_location:
-            inputs.append(np.stack([
+            inputs.append(_cue_rows("location", [
                 heads.location_input(normalize_box(d.box, image_h, image_w),
                                      confidence=d.score,
                                      closed_set=cfg.closed_set)
-                for d in dets]))
+                for d in dets], cfg.location_width))
         if cfg.use_appearance:
             inputs.append(_cue_rows("appearance",
                                     [d.appearance_vec for d in dets],

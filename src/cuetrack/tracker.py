@@ -59,7 +59,8 @@ def match_frame(detections: list[Detection], memory: list[Tracklet],
     ``key_fused`` holds the detections' fused descriptors (None for an
     empty frame) and is planned as the key frame against the memory's
     descriptors; the dustbin-augmented transport plan is resolved
-    greedily in descending probability with the matching threshold.
+    greedily in descending probability with the matching threshold. A
+    plan that is not finite raises ``TrackerError``.
     """
     if not detections:
         return [], next_id
@@ -69,6 +70,8 @@ def match_frame(detections: list[Detection], memory: list[Tracklet],
     ref_fused = np.stack([t.fused for t in memory])
     log_plan = asm.pair_log_plan(ad.constant(key_fused), ad.constant(ref_fused),
                                  leaves)
+    if not np.isfinite(log_plan.data).all():
+        raise TrackerError("transport plan is not finite")
     plan = np.exp(log_plan.data)[:-1, :-1]  # real detections x real tracklets
     m, n = plan.shape
     # descending probability, ties in (row, column) order: a stable sort
@@ -115,6 +118,22 @@ def update_memo(memory: list[Tracklet], ids: list[int],
             if time_s - t.last_time_s <= cfg.memo_length_s]
 
 
+def _embed_and_match(detections: list[Detection], memory: list[Tracklet],
+                     asm: AssocModel, cfg: TrackerConfig, next_id: int,
+                     leaves: dict[str, ad.Tensor], image_h: float,
+                     image_w: float) -> tuple[np.ndarray | None, list[int], int]:
+    """One frame's fused descriptors (None for an empty frame), ids and
+    next free id. Descriptors that are not finite raise ``TrackerError``,
+    as ``match_frame`` does for the plan. Changes no state, so a frame
+    can run twice."""
+    fused = asm.embed(detections, image_h, image_w, leaves).data \
+        if detections else None
+    if fused is not None and not np.isfinite(fused).all():
+        raise TrackerError("fused descriptors are not finite")
+    return (fused, *match_frame(detections, memory, asm, cfg, next_id, fused,
+                                leaves))
+
+
 def track_sequence(frames: list[tuple[float, list[Detection]]], asm: AssocModel,
                    cfg: TrackerConfig,
                    image_h: float, image_w: float) -> list[tuple]:
@@ -122,7 +141,14 @@ def track_sequence(frames: list[tuple[float, list[Detection]]], asm: AssocModel,
     in frame-major, id-minor order. Each frame's detections are embedded
     once, for matching and for the memory. Tracking takes no gradient,
     so the loop runs under ``autodiff.no_grad``: it records no tape, and
-    its Sinkhorn steps run in the exp domain."""
+    its Sinkhorn steps run in the exp domain.
+
+    Each frame's fused descriptors and plan are checked for values that
+    are not finite, two checks in place of one per tensor. A frame that
+    fails, or whose attention logits do, is run again under
+    ``autodiff.checked()``, whose ``AutodiffError`` names the first op
+    that made the value; should the run pass, ``TrackerError`` names the
+    frame."""
     memory: list[Tracklet] = []
     next_id = 0
     rows = []
@@ -133,10 +159,16 @@ def track_sequence(frames: list[tuple[float, list[Detection]]], asm: AssocModel,
             if prev_t is not None and time_s <= prev_t:
                 raise TrackerError("frames out of time order")
             prev_t = time_s
-            fused = asm.embed(detections, image_h, image_w, leaves).data \
-                if detections else None
-            ids, next_id = match_frame(detections, memory, asm, cfg, next_id,
-                                       fused, leaves)
+            args = (detections, memory, asm, cfg, next_id, leaves, image_h, image_w)
+            try:
+                fused, ids, next_id = _embed_and_match(*args)
+            except (TrackerError, ad.AutodiffError) as exc:
+                # the frame again, with every tensor checked: the
+                # AutodiffError names the first op that made the value,
+                # which the attention's own logits check may have met later
+                with ad.checked():
+                    _embed_and_match(*args)
+                raise TrackerError(f"frame {frame_id}: {exc}") from None
             memory = update_memo(memory, ids, detections, time_s, cfg, fused)
             for tid, det in sorted(zip(ids, detections), key=lambda p: p[0]):
                 rows.append((frame_id, tid, det.box, det.score, det.class_id))

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import matching
 from .autodiff import Tensor
 from .geometry import Box, iou
@@ -128,11 +129,26 @@ def _pair_loss(asm: AssocModel, key: FrameSample, ref: FrameSample,
     target = build_target(key_ids, ref_ids)
     if target.values.sum() == 0:
         return None
-    log_plan = asm.forward_pair(key_dets, ref_dets, image_h, image_w,
-                                marginals=(target.row_marginals,
-                                           target.col_marginals),
-                                leaves=leaves)
-    return matching.association_loss(log_plan, target.values)
+
+    def loss_of_pair() -> Tensor:
+        log_plan = asm.forward_pair(key_dets, ref_dets, image_h, image_w,
+                                    marginals=(target.row_marginals,
+                                               target.col_marginals),
+                                    leaves=leaves)
+        return matching.association_loss(log_plan, target.values)
+
+    try:
+        loss = loss_of_pair()
+        fault = None if np.isfinite(loss.data).all() else "non-finite loss"
+    except ad.AutodiffError as exc:  # the attention's own logits check
+        fault = str(exc)
+    if fault:
+        # the pair again, with every tensor checked: the AutodiffError
+        # names the first op that made the value
+        with ad.checked():
+            loss_of_pair()
+        raise TrainingError(fault)
+    return loss
 
 
 def _gt_channel(fr: FrameSample) -> list:
@@ -158,7 +174,14 @@ def train(dataset: list[list[FrameSample]], cfg: TrainConfig, asm: AssocModel,
           image_h: float, image_w: float,
           log_every: int = 0) -> list[tuple[int, int, float]]:
     """SGD (no momentum) with decoupled weight decay; returns the loss
-    history as (step, epoch, loss) rows."""
+    history as (step, epoch, loss) rows.
+
+    Each pair's loss is checked for a value that is not finite before its
+    backward pass, and each step's gradients before its update, so a step
+    that fails changes no parameter. A pair whose loss fails, or whose
+    attention logits do, is run again under ``autodiff.checked()``,
+    whose ``AutodiffError`` names the first op that made the value;
+    otherwise ``TrainingError`` names the step."""
     if not dataset:
         raise TrainingError("empty dataset")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -166,11 +189,12 @@ def train(dataset: list[list[FrameSample]], cfg: TrainConfig, asm: AssocModel,
     step = 0
     for epoch in range(cfg.epochs):
         for batch in _epoch_batches(dataset, cfg, rng):
-            loss_val = _train_step(asm, batch, cfg, image_h, image_w)
+            try:
+                loss_val = _train_step(asm, batch, cfg, image_h, image_w)
+            except TrainingError as exc:
+                raise TrainingError(f"step {step}: {exc}") from None
             if loss_val is None:
                 continue
-            if not np.isfinite(loss_val):
-                raise TrainingError(f"non-finite loss at step {step}")
             history.append((step, epoch, loss_val))
             if log_every and step % log_every == 0:
                 print(f"step {step} epoch {epoch} loss {loss_val:.4f}")
@@ -213,6 +237,9 @@ def _train_step(asm: AssocModel, batch, cfg: TrainConfig,
         n_used += 1
     if n_used == 0:
         return None
+    for name in store.names():
+        if not np.isfinite(store.grads[name]).all():
+            raise TrainingError(f"non-finite gradient of parameter {name}")
     lr = cfg.learning_rate
     for name in store.entries:
         store.entries[name] -= lr * (store.grads[name] / n_used)

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuetrack.autodiff import (AutodiffError, ParameterStore, Tensor, add,
-                               concat_cols, concat_rows, constant, exp, fill,
-                               grad_check, group_norm, load_checkpoint,
-                               logsumexp_cols, logsumexp_rows, matmul,
-                               mean_rows, mul, no_grad, recording, relu,
-                               save_checkpoint, scale, slice_cols,
+                               checked, concat_cols, concat_rows, constant,
+                               exp, fill, grad_check, group_norm,
+                               load_checkpoint, logsumexp_cols, logsumexp_rows,
+                               matmul, mean_rows, mul, no_grad, recording,
+                               relu, save_checkpoint, scale, slice_cols,
                                softmax_rows, total, transpose)
 
 RNG = np.random.default_rng(12345)
@@ -186,7 +186,7 @@ class TestNoGrad:
         assert a.grad is None  # the tape ends at ``out``
 
     def test_finite_check_stays(self):
-        with no_grad(), np.errstate(over="ignore"), \
+        with no_grad(), checked(), np.errstate(over="ignore"), \
                 pytest.raises(AutodiffError, match="non-finite"):
             exp(constant(np.array([[1000.0]])))
 
@@ -207,6 +207,30 @@ class TestNoGrad:
             assert not recording()
             raise ValueError("outer")
         assert recording()
+
+
+class TestChecked:
+    def test_values_unchecked_outside(self):
+        with np.errstate(over="ignore"):
+            out = exp(constant(np.array([[1000.0]])))
+        assert np.isinf(out.data).all()
+
+    def test_names_the_op(self):
+        big = constant(np.array([[1e308]]))
+        with checked(), np.errstate(over="ignore"), \
+                pytest.raises(AutodiffError, match="^non-finite values "
+                              "entering tensor scale$"):
+            scale(big, 10.0)
+
+    def test_nests_and_restores_after_an_exception(self):
+        bad = constant(np.array([[np.nan]]))
+        with pytest.raises(ValueError), checked():
+            with pytest.raises(KeyError), checked():
+                raise KeyError("inner")
+            with pytest.raises(AutodiffError, match="tensor add"):
+                add(bad, bad)
+            raise ValueError("outer")
+        assert np.isnan(add(bad, bad).data).all()
 
 
 class TestParameterStore:

@@ -12,8 +12,10 @@ import yaml
 from cuetrack.cli import _build_config, build_parser, main
 from cuetrack.config import ConfigError, load_config
 from cuetrack.model import ModelConfig, paper_preset
-from cuetrack.simulator import ClassProfile, SceneConfig
-from cuetrack.tracker import TrackerConfig
+from cuetrack.geometry import Box
+from cuetrack.simulator import (ClassProfile, FrameSample, SceneConfig,
+                                write_dataset)
+from cuetrack.tracker import TrackerConfig, write_results
 from cuetrack.training import TrainConfig
 
 
@@ -195,6 +197,19 @@ class TestCli:
         body = open(report).read()
         assert body.startswith("association_accuracy")
         assert "tracked 4 sequences" in capsys.readouterr().out
+
+    def test_eval_with_nothing_to_score(self, tmp_path, capsys):
+        # one annotated frame: no GT track appears in two consecutive frames
+        gt = [[(0, Box(10.0, 10.0, 50.0, 50.0), 0)], []]
+        write_dataset([[FrameSample(k, 0.5 * k, [], g) for k, g in enumerate(gt)]],
+                      str(tmp_path / "data"))
+        write_results([], str(tmp_path / "r.csv"))
+        report = str(tmp_path / "report.csv")
+        assert main(["eval", "--pred", str(tmp_path / "r.csv"),
+                     "--gt", str(tmp_path / "data"), "--out", report]) == 0
+        assert capsys.readouterr().out.startswith(
+            "association_accuracy undefined id_switches 0")
+        assert open(report).read().splitlines()[1] == "undefined,0,0,1"
 
     def test_pipeline_is_byte_deterministic(self, tmp_path):
         out_a = tmp_path / "a"

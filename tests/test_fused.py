@@ -127,7 +127,7 @@ class TestLinearGnReluEquivalence:
                           [x, W, b, gamma, beta], lambda t: t)
 
     def test_overflow_raises_naming_the_node(self):
-        with np.errstate(over="ignore", invalid="ignore"), \
+        with ad.checked(), np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(AutodiffError, match="linear_gn_relu"):
             ad.linear_gn_relu(constant(np.full((2, 4), 1e307)),
                               constant(np.ones((4, 8))), constant(np.zeros((1, 8))),

@@ -107,6 +107,13 @@ class TestSinkhorn:
             with pytest.raises(MatchingError, match="finite and positive"):
                 sinkhorn(np.zeros((2, 2)), np.array(rows), np.array(cols))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_rejected(self, bad):
+        logits = np.zeros((2, 2))
+        logits[1, 0] = bad
+        with pytest.raises(MatchingError, match="logits must be finite"):
+            sinkhorn(logits, np.ones(2), np.ones(2))
+
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_non_positive_marginals_rejected(self, bad):
         for rows, cols in (([bad, 2.0], [1.0, 1.0]), ([1.0, 1.0], [2.0, bad])):

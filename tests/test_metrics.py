@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from cuetrack.geometry import Box
 from cuetrack.metrics import (ClassMotionSummary, EvalReport, MetricsError,
-                              association_accuracy, class_motion_report, kde,
-                              silverman_bandwidth, write_kde_curves,
-                              write_report)
+                              association_accuracy, class_motion_report,
+                              format_accuracy, kde, silverman_bandwidth,
+                              write_kde_curves, write_report)
 from cuetrack.simulator import ClassProfile, FrameSample, SceneConfig, generate
 
 
@@ -59,6 +59,17 @@ class TestAssociationAccuracy:
         pred = _rows([(f, 7, 500) for f in range(3)])  # never overlaps
         rep = association_accuracy(pred, _frames_from_gt(gt))
         assert rep.association_accuracy == 0.0  # no matched pairs at all
+
+    def test_nothing_to_score_is_undefined(self):
+        # track 0 is annotated in frames 0 and 2, never in two consecutive
+        # frames, and track 1 in frame 1 alone: no pair can be scored
+        gt = [[(0, _box_at(0))], [(1, _box_at(100))], [(0, _box_at(0))]]
+        pred = _rows([(0, 7, 0), (1, 8, 100), (2, 7, 0)])
+        rep = association_accuracy(pred, _frames_from_gt(gt))
+        assert np.isnan(rep.association_accuracy)
+        assert rep.id_switches == 0
+        assert rep.track_count == 2 and rep.gt_count == 2
+        assert format_accuracy(rep.association_accuracy) == "undefined"
 
     def test_unknown_frame_rejected(self):
         gt = [[(0, _box_at(0))]]
@@ -161,3 +172,10 @@ class TestReportIO:
         lines = open(path).read().splitlines()
         assert lines[0] == "association_accuracy,id_switches,track_count,gt_count"
         assert lines[1] == "0.500000,3,7,6"
+
+    def test_write_undefined_report(self, tmp_path):
+        rep = EvalReport(association_accuracy=float("nan"), id_switches=0,
+                         track_count=0, gt_count=1)
+        path = str(tmp_path / "report.csv")
+        write_report(rep, path)
+        assert open(path).read().splitlines()[1] == "undefined,0,0,1"

@@ -84,6 +84,22 @@ class TestEmbedding:
         with pytest.raises(ModelError, match="semantic vector of width 7"):
             full.embed(dets, H, W, full.store.leaves())
 
+    @pytest.mark.parametrize("cue", ["semantic", "location", "appearance"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cue_named_at_entry(self, cue, bad):
+        dets = _dets(3)
+        if cue == "location":
+            # the side a valid box can take the value on
+            side = "x_max" if bad > 0 else "x_min"
+            dets[1] = dataclasses.replace(
+                dets[1], box=dataclasses.replace(dets[1].box, **{side: bad}))
+        else:
+            getattr(dets[1], f"{cue}_vec")[2] = bad
+        asm = AssocModel(_cfg())
+        with pytest.raises(ModelError,
+                           match=f"^{cue} vectors hold a value that is not finite$"):
+            asm.cue_inputs(dets, H, W)
+
     def test_empty_frame_rejected(self):
         asm = AssocModel(_cfg())
         with pytest.raises(ModelError):

@@ -4,10 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cuetrack import heads
-from cuetrack.autodiff import (Tensor, constant, load_checkpoint, recording,
-                               save_checkpoint)
+from cuetrack.autodiff import (AutodiffError, Tensor, constant,
+                               load_checkpoint, recording, save_checkpoint)
 from cuetrack.cli import main
 from cuetrack.geometry import Box
 from cuetrack.model import AssocModel, ModelConfig
@@ -17,7 +19,7 @@ from cuetrack.simulator import (ClassProfile, Detection, FrameSample,
 from cuetrack.tracker import (TrackerConfig, TrackerError, Tracklet,
                               dynamic_threshold, match_frame, read_results,
                               track_sequence, update_memo, write_results)
-from cuetrack.training import TrainConfig, train
+from cuetrack.training import TrainConfig, TrainingError, train
 
 H, W = 600.0, 800.0
 
@@ -347,6 +349,69 @@ _TRACK_FLAGS = [
     "--set", "model.num_layers=2", "--set", "model.num_heads=2",
     "--set", "model.refine_widths=[16,8]",
 ]
+
+
+def _busy_frames(seed=5):
+    """A sequence's frames that hold detections: from the second one on,
+    each is matched against a memory."""
+    seq = generate_dataset(_scene(), 1, seed=seed)[0]
+    return [(f.time_s, f.detections) for f in seq if f.detections]
+
+
+class TestFiniteChecks:
+    # each STOG refine MLP ends in a bare linear: matmul, then add. The
+    # last layer's value reaches the plan; the first layer's meets the
+    # next attention's logits check first
+    @pytest.mark.parametrize("name", ["stog.l1.mlp1.b", "stog.l0.mlp1.b"])
+    def test_failing_frame_rerun_names_the_op(self, name):
+        asm = _model()
+        asm.store.entries[name][0, 3] = np.nan
+        with pytest.raises(AutodiffError,
+                           match="^non-finite values entering tensor add$"):
+            track_sequence(_busy_frames(), asm, TrackerConfig(), H, W)
+
+    def test_fault_that_does_not_repeat_names_the_frame(self, monkeypatch):
+        embed = AssocModel.embed
+        calls = []
+
+        def flaky(self, *args):
+            out = embed(self, *args)
+            calls.append(out)
+            if len(calls) == 3:
+                out.data[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(AssocModel, "embed", flaky)
+        with pytest.raises(TrackerError,
+                           match="^frame 2: fused descriptors are not finite$"):
+            track_sequence(_busy_frames(), _model(), TrackerConfig(), H, W)
+        assert len(calls) == 4   # frame 2 ran twice
+
+    # the last STOG layer's value path and the dustbin reach no attention
+    # logits, so only the plan check sees them: always among the examples
+    @example(name="dustbin", index=0, value=-np.inf)
+    @example(name="stog.l1.Wv", index=5, value=np.inf)
+    @example(name="stog.l1.mlp1.W", index=7, value=np.nan)
+    @settings(max_examples=12, deadline=None)
+    @given(name=st.sampled_from(_model().store.names()),
+           index=st.integers(min_value=0),
+           value=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_poisoned_parameter_always_raises(self, name, index, value):
+        # any entry of any parameter, set in memory past the checkpoint
+        # reader's check: tracking returns no rows and training changes
+        # no parameter
+        asm = _model()
+        arr = asm.store.entries[name]
+        arr.flat[index % arr.size] = value
+        with np.errstate(all="ignore"):
+            with pytest.raises((AutodiffError, TrackerError)):
+                track_sequence(_busy_frames(), asm, TrackerConfig(), H, W)
+            before = {k: v.copy() for k, v in asm.store.entries.items()}
+            with pytest.raises((AutodiffError, TrainingError)):
+                train(generate_dataset(_scene(), 4, seed=21),
+                      TrainConfig(epochs=1, batch_pairs=4, seed=3), asm, H, W)
+        for k, v in before.items():
+            assert np.array_equal(asm.store.entries[k], v, equal_nan=True), k
 
 
 class TestTrackCli:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuetrack import matching
+from cuetrack.autodiff import AutodiffError, ParameterStore
 from cuetrack.geometry import Box
 from cuetrack.model import AssocModel, ModelConfig
 from cuetrack.simulator import (ClassProfile, NoiseConfig, SceneConfig,
@@ -206,6 +208,53 @@ class TestTrainLoop:
             a = asm_a.store.entries[name]
             b = asm_b.store.entries[name]
             assert np.allclose(b, a * (1.0 - lr * 0.1), atol=1e-12), name
+
+    def test_non_finite_gradient_changes_no_parameter(self, monkeypatch):
+        harvest = ParameterStore.harvest
+
+        def poisoned(self, leaves):
+            harvest(self, leaves)
+            self.grads["stog.l1.Wv"][2, 1] = np.inf
+            self.grads["app.l3.gn.beta"][0, 4] = -np.inf
+
+        monkeypatch.setattr(ParameterStore, "harvest", poisoned)
+        asm = _tiny_model(seed=1, sinkhorn_iters=20)
+        before = {k: v.copy() for k, v in asm.store.entries.items()}
+        with pytest.raises(TrainingError, match="^step 0: non-finite gradient "
+                           r"of parameter app\.l3\.gn\.beta$"):
+            train(generate_dataset(_tiny_scene(), 4, seed=11),
+                  TrainConfig(epochs=1, batch_pairs=4, seed=2), asm, 600.0, 800.0)
+        for k, v in before.items():
+            assert np.array_equal(asm.store.entries[k], v), k
+
+    def test_non_finite_loss_rerun_names_the_op(self):
+        asm = _tiny_model(seed=1, sinkhorn_iters=20)
+        # the attention's logits check meets the value first; the re-run
+        # names the cue head's first layer, which made it
+        asm.store.entries["app.l0.b"][0, 2] = np.nan
+        with pytest.raises(AutodiffError, match="^non-finite values entering "
+                           "tensor linear_gn_relu$"):
+            train(generate_dataset(_tiny_scene(), 4, seed=11),
+                  TrainConfig(epochs=1, batch_pairs=4, seed=2), asm, 600.0, 800.0)
+
+    def test_loss_fault_that_does_not_repeat_names_the_step(self, monkeypatch):
+        loss_of = matching.association_loss
+        calls = []
+
+        def flaky(log_plan, target):
+            out = loss_of(log_plan, target)
+            calls.append(out)
+            if len(calls) == 6:
+                out.data[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(matching, "association_loss", flaky)
+        # two pairs per step: the sixth pair is the second of step 2
+        with pytest.raises(TrainingError, match="^step 2: non-finite loss$"):
+            train(generate_dataset(_tiny_scene(), 6, seed=11),
+                  TrainConfig(epochs=2, batch_pairs=2, seed=2),
+                  _tiny_model(seed=1, sinkhorn_iters=20), 600.0, 800.0)
+        assert len(calls) == 7   # the sixth pair ran twice
 
     def test_loss_history_csv(self, tmp_path):
         path = str(tmp_path / "loss.csv")
