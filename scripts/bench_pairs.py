@@ -7,10 +7,12 @@ its default length once in the parent checkout and once in the change
 checkout, one after the other; even pairs start with the parent, odd
 pairs with the change. Runs go one at a time.
 The record holds both checkouts' git shas and source trees; every
-run's ``# env`` line, metrics, ``correct`` value and failed operations;
-and, per workload and end-to-end metric (as ``BENCHMARK.json`` in the
-change checkout lists them), each side's median and quartiles, the pairs
-each side won and a verdict:
+run's ``# env`` line, metrics, ``correct`` value, failed operations and
+the accuracy it reports (``assoc_accuracy`` and ``id_switches``, null
+when undefined); per workload, each side's accuracies pair by pair; and,
+per workload and end-to-end metric (as ``BENCHMARK.json`` in the change
+checkout lists them), each side's median and quartiles, the pairs each
+side won and a verdict:
 
 - ``gain``: the change wins at least nine tenths of the pairs, ties
   counting for neither, and the medians differ by more than the
@@ -25,12 +27,13 @@ Make the parent checkout with ``git clone`` and check out the parent
 commit in it, then run from the repository root:
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --pairs 10 --out BENCH_12.json
+        --pairs 10 --out BENCH_13.json
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -41,6 +44,9 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 WORKLOADS = ("track_desk", "train_desk")
+# report lines a run prints as ``  <name> <value> <unit>``: the accuracy
+# next to which each speed is read
+ACCURACY = ("assoc_accuracy", "id_switches")
 # a run's set-up, measured seconds and checks take about a minute at the
 # default 45 s; one that outlasts this hangs
 RUN_TIMEOUT_S = 1200
@@ -66,10 +72,35 @@ def identify(checkout: Path) -> dict:
             "src_tree": src_tree}
 
 
+def parse_output(stdout: str) -> dict:
+    """A ``perfbench/run.py`` run's result line, ``# env`` line, accuracy
+    report lines and ``CHECK FAILED`` lines. Output with no result line
+    counts as incorrect, with no operation attempted."""
+    lines = stdout.strip().splitlines()
+    env = next((json.loads(line[len("# env "):]) for line in lines
+                if line.startswith("# env ")), None)
+    result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
+    accuracy = {}
+    for line in lines:
+        parts = line.split()
+        if len(parts) == 3 and parts[0] in ACCURACY:
+            value = float(parts[1])
+            accuracy[parts[0]] = value if math.isfinite(value) else None
+    return {
+        "env": env,
+        "correct": bool(result.get("correct")),
+        "attempted": result.get("attempted", 0),
+        "failed": result.get("failed", 0),
+        "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()},
+        "accuracy": accuracy,
+        "check_failed": [line.strip() for line in lines
+                         if line.strip().startswith("CHECK FAILED")],
+    }
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One ``perfbench/run.py`` run: its result line, ``# env`` line and
-    ``CHECK FAILED`` lines. A run that prints no result line counts as
-    incorrect, with no operation attempted."""
+    """One ``perfbench/run.py`` run: its exit code, wall time and parsed
+    output."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed)]
     t0 = time.perf_counter()
@@ -79,21 +110,8 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         stdout, code = proc.stdout, proc.returncode
     except subprocess.TimeoutExpired:
         stdout, code = "", None
-    lines = stdout.strip().splitlines()
-    env = next((json.loads(line[len("# env "):]) for line in lines
-                if line.startswith("# env ")), None)
-    result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
-    return {
-        "exit": code,
-        "wall_s": time.perf_counter() - t0,
-        "env": env,
-        "correct": bool(result.get("correct")),
-        "attempted": result.get("attempted", 0),
-        "failed": result.get("failed", 0),
-        "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()},
-        "check_failed": [line.strip() for line in lines
-                         if line.strip().startswith("CHECK FAILED")],
-    }
+    return {"exit": code, "wall_s": time.perf_counter() - t0,
+            **parse_output(stdout)}
 
 
 def spread(values: list[float]) -> dict:
@@ -140,7 +158,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         summary = {side: {"runs": len(rs),
                           "incorrect_runs": [r["seed"] for r in rs if not r["correct"]],
                           "attempted": sum(r["attempted"] for r in rs),
-                          "failed": sum(r["failed"] for r in rs)}
+                          "failed": sum(r["failed"] for r in rs),
+                          **{name: [r["accuracy"].get(name) for r in rs]
+                             for name in ACCURACY}}
                    for side, rs in by_side.items()}
         for metric in end_to_end:
             name = metric["name"]
@@ -179,7 +199,8 @@ def main() -> int:
                                        "side": side, **run})
                 print(f"{wl} pair {pair} seed {seed} {side}: correct={run['correct']} "
                       f"failed={run['failed']}/{run['attempted']} "
-                      f"{json.dumps(run['metrics'])}", flush=True)
+                      f"{json.dumps(run['metrics'])} {json.dumps(run['accuracy'])}",
+                      flush=True)
                 for line in run["check_failed"]:
                     print(f"  {line}", flush=True)
             # the record so far, so an interrupted run keeps its pairs

@@ -19,7 +19,17 @@ tests compare them with. A fused backward calls ``_accumulate`` on its
 inputs in the order the composition's nodes would: a leaf's gradient is
 a floating-point sum, so another order rounds differently. Softmax and
 group-norm arithmetic has one copy, shared by the primitives and the
-fused nodes.
+fused nodes; it reduces with ``np.add.reduce`` and works in place, which
+are the same float operations as the method wrappers and the copies.
+
+The attention forward batches its heads: one ``matmul`` over (heads,
+rows, dh) views of q and k gives every head's logits, then one softmax
+and one ``matmul`` with v's view. numpy runs a stacked ``matmul`` as
+one BLAS product per head, on operands with the strides of that head's
+column slices, so the output equals that of one product per head bit
+for bit at every shape the tests try (1 to 24 rows, 1, 2 and 4 heads,
+self- and cross-attention). The backward stays one loop over the heads:
+batching its products changed the rounding of the training gradients.
 
 Inside ``no_grad()`` no tape is recorded: every ``Tensor`` built there
 drops its parents and its backward closure, so nothing keeps the
@@ -92,7 +102,9 @@ class Tensor:
 
     Interior nodes carry a ``_backward`` closure distributing the upstream
     gradient to their parents. Every tensor that ``backward`` reaches gets
-    a ``.grad``, constants included; the tape never reads ``requires_grad``.
+    a ``.grad``, except a constant leaf (``requires_grad`` false and no
+    parents): no gradient flows from it to a parameter, so no backward
+    forms or stores one, and its ``.grad`` stays None.
     A tensor built inside ``no_grad`` keeps neither parents nor closure.
     Its values are checked for non-finite entries only inside ``checked``.
     """
@@ -115,7 +127,13 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
+    def takes_grad(self) -> bool:
+        """False for a constant leaf, whose gradient no backward forms."""
+        return self.requires_grad or bool(self.parents)
+
     def _accumulate(self, g: np.ndarray) -> None:
+        if not self.takes_grad():
+            return
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64, copy=True)
         else:
@@ -205,8 +223,10 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if a.takes_grad():
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.takes_grad():
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return Tensor(out_data, parents=(a, b), backward=backward, name="mul")
 
@@ -231,8 +251,10 @@ def matmul(a, b) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        if a.takes_grad():
+            a._accumulate(g @ b.data.T)
+        if b.takes_grad():
+            b._accumulate(a.data.T @ g)
 
     return Tensor(out_data, parents=(a, b), backward=backward, name="matmul")
 
@@ -267,9 +289,12 @@ def exp(a) -> Tensor:
 
 
 def _softmax(a: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of an array, overflow-safe via max subtraction."""
-    e = np.exp(a - a.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis of an array, overflow-safe via max
+    subtraction."""
+    e = a - np.maximum.reduce(a, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -405,23 +430,33 @@ def _group_norm(a: np.ndarray, gamma: Tensor, beta: Tensor,
         raise AutodiffError(f"channels {c} not divisible by {num_groups} groups")
     gw = c // num_groups
     xg = a.reshape(n, num_groups, gw)
-    dev = xg - xg.mean(axis=2, keepdims=True)
-    inv = 1.0 / np.sqrt(np.square(dev).sum(axis=2, keepdims=True) / gw + eps)
-    xhat = (dev * inv).reshape(n, c)
+    # ``mean`` is ``add.reduce`` then a division by the count, and ``sum``
+    # is ``add.reduce``: the same operations without the method wrappers
+    mean = np.add.reduce(xg, axis=2, keepdims=True)
+    mean /= gw
+    dev = xg - mean
+    inv = np.add.reduce(np.square(dev), axis=2, keepdims=True)
+    inv /= gw
+    inv += eps
+    np.divide(1.0, np.sqrt(inv, out=inv), out=inv)
+    dev *= inv
+    xhat = dev.reshape(n, c)
     g_row = gamma.data.reshape(1, c)
 
     def backward(g):
-        gamma._accumulate((g * xhat).sum(axis=0).reshape(gamma.data.shape))
-        beta._accumulate(g.sum(axis=0).reshape(beta.data.shape))
+        gamma._accumulate(np.add.reduce(g * xhat, axis=0).reshape(gamma.data.shape))
+        beta._accumulate(np.add.reduce(g, axis=0).reshape(beta.data.shape))
         dxhat = (g * g_row).reshape(n, num_groups, gw)
         xh = xhat.reshape(n, num_groups, gw)
         # standard normalization backward per group
         dx = inv / gw * (gw * dxhat
-                         - dxhat.sum(axis=2, keepdims=True)
-                         - xh * (dxhat * xh).sum(axis=2, keepdims=True))
+                         - np.add.reduce(dxhat, axis=2, keepdims=True)
+                         - xh * np.add.reduce(dxhat * xh, axis=2, keepdims=True))
         return dx.reshape(n, c)
 
-    return xhat * g_row + beta.data.reshape(1, c), backward
+    out = xhat * g_row
+    out += beta.data.reshape(1, c)
+    return out, backward
 
 
 def group_norm(x, gamma, beta, num_groups: int | None = None, eps: float = 1e-5) -> Tensor:
@@ -448,17 +483,20 @@ def linear_gn_relu(x, W: Tensor, b: Tensor, gamma: Tensor, beta: Tensor) -> Tens
     """``relu(group_norm(add(matmul(x, W), b), gamma, beta))`` as one node:
     a hidden MLP layer, with group_norm's default groups."""
     x = _wrap(x)
-    normed, norm_backward = _group_norm(x.data @ W.data + b.data, gamma, beta,
-                                        None, 1e-5)
+    h = x.data @ W.data
+    h += b.data
+    normed, norm_backward = _group_norm(h, gamma, beta, None, 1e-5)
     mask = normed > 0
+    normed *= mask
 
     def backward(g):
         ga = norm_backward(g * mask)
         b._accumulate(_unbroadcast(ga, b.data.shape))
-        x._accumulate(ga @ W.data.T)
+        if x.takes_grad():
+            x._accumulate(ga @ W.data.T)
         W._accumulate(x.data.T @ ga)
 
-    return Tensor(normed * mask, parents=(x, W, b, gamma, beta), backward=backward,
+    return Tensor(normed, parents=(x, W, b, gamma, beta), backward=backward,
                   name="linear_gn_relu")
 
 
@@ -477,20 +515,23 @@ def multihead_attention(xq, xkv, Wq: Tensor, Wk: Tensor, Wv: Tensor,
     q = xq.data @ Wq.data
     k = xkv.data @ Wk.data
     v = xkv.data @ Wv.data
-    dh = q.shape[1] // num_heads
+    n, d = q.shape
+    dh = d // num_heads
     k_scale = float(1.0 / np.sqrt(dh))
     cols = [slice(h * dh, (h + 1) * dh) for h in range(num_heads)]
+
+    def by_head(x):
+        # (heads, rows, dh) view: head h is x[:, h*dh:(h+1)*dh], strides kept
+        return x.reshape(x.shape[0], num_heads, dh).transpose(1, 0, 2)
+
     # every head's logits in one array, so one check covers them all
-    logits = np.empty((num_heads, q.shape[0], k.shape[0]))
-    for h, sl in enumerate(cols):
-        np.matmul(q[:, sl], k[:, sl].T, out=logits[h])
+    logits = np.matmul(by_head(q), by_head(k).transpose(0, 2, 1))
     logits *= k_scale
     if not np.isfinite(logits).all():
         raise AutodiffError("non-finite attention logits in tensor "
                             "multihead_attention")
-    probs = [_softmax(a) for a in logits]
-    outs = [p @ v[:, sl] for p, sl in zip(probs, cols)]
-    merged = outs[0] if num_heads == 1 else np.concatenate(outs, axis=1)
+    probs = _softmax(logits)
+    merged = np.matmul(probs, by_head(v)).transpose(1, 0, 2).reshape(n, d)
 
     def backward(g):
         g_merged = g @ Wo.data.T
@@ -507,7 +548,8 @@ def multihead_attention(xq, xkv, Wq: Tensor, Wk: Tensor, Wv: Tensor,
         # Q, then K, then V: the order in which the primitive tape adds
         # into xq's and xkv's gradients, which a self-attention shares
         for x, W, gp in ((xq, Wq, dq), (xkv, Wk, dk), (xkv, Wv, dv)):
-            x._accumulate(gp @ W.data.T)
+            if x.takes_grad():
+                x._accumulate(gp @ W.data.T)
             W._accumulate(x.data.T @ gp)
 
     return Tensor(merged @ Wo.data, parents=(xq, xkv, Wq, Wk, Wv, Wo),

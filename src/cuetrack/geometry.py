@@ -3,6 +3,7 @@ NMS and trajectory motion statistics."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,12 @@ class Box:
     y_max: float
 
     def __post_init__(self):
-        if self.x_max < self.x_min or self.y_max < self.y_min:
+        # one chained test: NaN fails every comparison, and an infinite
+        # coordinate one of the bounds
+        if not (-math.inf < self.x_min <= self.x_max < math.inf
+                and -math.inf < self.y_min <= self.y_max < math.inf):
+            if not all(map(math.isfinite, self.as_list())):
+                raise GeometryError(f"box {self} has non-finite coordinates")
             raise GeometryError(f"invalid box {self}")
 
     @property

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from cuetrack.autodiff import (AutodiffError, ParameterStore, Tensor, add,
                                checked, concat_cols, concat_rows, constant,
                                exp, fill, grad_check, group_norm,
-                               load_checkpoint, logsumexp_cols, logsumexp_rows,
-                               matmul, mean_rows, mul, no_grad, recording,
-                               relu, save_checkpoint, scale, slice_cols,
+                               linear_gn_relu, load_checkpoint,
+                               logsumexp_cols, logsumexp_rows, matmul,
+                               mean_rows, mul, no_grad, recording, relu,
+                               save_checkpoint, scale, slice_cols,
                                softmax_rows, total, transpose)
 
 RNG = np.random.default_rng(12345)
@@ -155,6 +156,21 @@ class TestTapeMechanics:
         total(mul(c, a)).backward()
         assert not c.requires_grad
         assert np.allclose(a.grad, 1.0)
+
+    def test_constant_leaf_gets_no_gradient(self):
+        # a cue-input matrix into a hidden layer, a loss target and the
+        # input of a transpose: leaves with no parents that take no gradient
+        x = constant(RNG.normal(size=(3, 4)))
+        target = constant(RNG.normal(size=(3, 16)))
+        eye = constant(np.eye(16))
+        params = [Tensor(a, requires_grad=True) for a in (
+            RNG.normal(size=(4, 16)), RNG.normal(size=(1, 16)),
+            RNG.normal(size=(1, 16)), RNG.normal(size=(1, 16)))]
+        hidden = linear_gn_relu(x, *params)
+        total(mul(matmul(hidden, transpose(eye)), target)).backward()
+        assert x.grad is None and target.grad is None and eye.grad is None
+        assert all(p.grad is not None for p in params)
+        assert hidden.grad is not None  # an interior node keeps its gradient
 
     def test_deep_chain_does_not_recurse(self):
         a = Tensor(np.array([[1.0]]), requires_grad=True)

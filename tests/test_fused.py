@@ -151,6 +151,120 @@ class TestLinearGnReluEquivalence:
             assert np.array_equal(out.data, expect)
 
 
+def frozen_softmax(a):
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def frozen_group_norm(a, gamma, beta, num_groups):
+    """The group norm as it was written before its in-place rewrite: the
+    output and the gradients of ``a``, gamma and beta for upstream ``g``."""
+    n, c = a.shape
+    gw = c // num_groups
+    xg = a.reshape(n, num_groups, gw)
+    dev = xg - xg.mean(axis=2, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(dev).sum(axis=2, keepdims=True) / gw + 1e-5)
+    xhat = (dev * inv).reshape(n, c)
+    g_row = gamma.reshape(1, c)
+
+    def backward(g):
+        dxhat = (g * g_row).reshape(n, num_groups, gw)
+        xh = xhat.reshape(n, num_groups, gw)
+        dx = inv / gw * (gw * dxhat
+                         - dxhat.sum(axis=2, keepdims=True)
+                         - xh * (dxhat * xh).sum(axis=2, keepdims=True))
+        return (dx.reshape(n, c), (g * xhat).sum(axis=0).reshape(gamma.shape),
+                g.sum(axis=0).reshape(beta.shape))
+
+    return xhat * g_row + beta.reshape(1, c), backward
+
+
+def frozen_attention_forward(xq, xkv, Wq, Wk, Wv, Wo, num_heads):
+    """The attention forward as it was written before its heads were
+    batched: one product, softmax and value product per head."""
+    q, k, v = xq @ Wq, xkv @ Wk, xkv @ Wv
+    dh = q.shape[1] // num_heads
+    cols = [slice(h * dh, (h + 1) * dh) for h in range(num_heads)]
+    logits = np.empty((num_heads, q.shape[0], k.shape[0]))
+    for h, sl in enumerate(cols):
+        np.matmul(q[:, sl], k[:, sl].T, out=logits[h])
+    logits *= float(1.0 / np.sqrt(dh))
+    outs = [frozen_softmax(a) @ v[:, sl] for a, sl in zip(logits, cols)]
+    merged = outs[0] if num_heads == 1 else np.concatenate(outs, axis=1)
+    return merged @ Wo
+
+
+# the row counts of a desk model's frames: the one-row gemv case up to
+# the most detections a benchmark frame holds
+FRAME_ROWS = [1, 2, 3, 7, 10, 16, 24]
+
+
+class TestFrozenArithmetic:
+    """The numpy arithmetic the primitives and the fused nodes share,
+    against frozen copies of its earlier form, at the model's shapes. The
+    equivalence tests above compare the fused nodes with primitives that
+    share that arithmetic, so they cannot see a change to it."""
+
+    @pytest.mark.parametrize("width", [64, 8])   # 8 groups and 1 group
+    @pytest.mark.parametrize("rows", FRAME_ROWS)
+    def test_group_norm(self, width, rows):
+        rng = np.random.default_rng(rows * 100 + width)
+        x = rng.normal(size=(rows, width)) * 3.0
+        gamma = rng.normal(size=(1, width)) + 1.0
+        beta = rng.normal(size=(1, width))
+        g = rng.normal(size=(rows, width))
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+        out = ad.group_norm(*leaves)
+        out.backward(g)
+        expect, backward = frozen_group_norm(x, gamma, beta,
+                                             8 if width == 64 else 1)
+        assert np.array_equal(out.data, expect)
+        for leaf, grad in zip(leaves, backward(g)):
+            assert np.array_equal(leaf.grad, grad)
+
+    @pytest.mark.parametrize("in_width, width", [(16, 64), (4, 64), (64, 64),
+                                                 (64, 8)])
+    @pytest.mark.parametrize("rows", FRAME_ROWS)
+    def test_linear_gn_relu_forward(self, in_width, width, rows):
+        rng = np.random.default_rng(rows * 1000 + in_width + width)
+        x, W = rng.normal(size=(rows, in_width)), rng.normal(size=(in_width, width))
+        b, gamma, beta = (rng.normal(size=(1, width)) for _ in range(3))
+        normed, _ = frozen_group_norm(x @ W + b, gamma, beta,
+                                      8 if width == 64 else 1)
+        out = ad.linear_gn_relu(*(constant(a) for a in (x, W, b, gamma, beta)))
+        assert np.array_equal(out.data, normed * (normed > 0))
+
+    @staticmethod
+    def _assert_attention_forward(xq, xkv, num_heads, rng):
+        d = xq.shape[1]
+        Ws = [rng.normal(size=(d, d)) / np.sqrt(d) for _ in range(4)]
+        out = ad.multihead_attention(constant(xq), constant(xkv),
+                                     *(constant(W) for W in Ws), num_heads)
+        expect = frozen_attention_forward(xq, xkv, *Ws, num_heads)
+        assert np.array_equal(out.data, expect)
+
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    @pytest.mark.parametrize("rows", FRAME_ROWS)
+    def test_self_attention_forward(self, num_heads, rows):
+        rng = np.random.default_rng(rows * 10 + num_heads)
+        x = rng.normal(size=(rows, 32))
+        self._assert_attention_forward(x, x, num_heads, rng)
+
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    @pytest.mark.parametrize("rows", [(1, 24), (24, 1), (1, 1), (7, 10),
+                                      (16, 3), (24, 24)])
+    def test_cross_attention_forward(self, num_heads, rows):
+        rng = np.random.default_rng(rows[0] * 100 + rows[1] * 10 + num_heads)
+        self._assert_attention_forward(rng.normal(size=(rows[0], 32)),
+                                       rng.normal(size=(rows[1], 32)),
+                                       num_heads, rng)
+
+    @pytest.mark.parametrize("rows", FRAME_ROWS)
+    def test_softmax_rows(self, rows):
+        x = np.random.default_rng(rows).normal(size=(rows, 11)) * 5.0
+        assert np.array_equal(ad.softmax_rows(constant(x)).data, frozen_softmax(x))
+
+
 class TestModelEquivalence:
     def test_train_step_parameters_equal_the_compositions(self, monkeypatch):
         data = simulator.generate_dataset(bench.benchmark_scene(5), 2, 5)

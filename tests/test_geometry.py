@@ -26,6 +26,14 @@ class TestBox:
         with pytest.raises(GeometryError):
             Box(10, 10, 20, 5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("index", range(4))
+    def test_non_finite_coordinate_rejected_naming_the_box(self, index, bad):
+        coords = [0.0, 0.0, 10.0, 10.0]
+        coords[index] = bad
+        with pytest.raises(GeometryError, match=r"box Box\(.*non-finite"):
+            Box(*coords)
+
 
 class TestIou:
     def test_known_values(self):

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from cuetrack import autodiff as ad
 from cuetrack.autodiff import ParameterStore, Tensor, constant, grad_check, total
-from cuetrack.matching import (MatchingError, association_loss,
-                               augment_dustbin, hungarian, score_matrix,
-                               sinkhorn, sinkhorn_log,
+from cuetrack.matching import (MatchingError, _sinkhorn_scaling,
+                               association_loss, augment_dustbin, hungarian,
+                               score_matrix, sinkhorn, sinkhorn_log,
                                uniform_dustbin_marginals)
 from cuetrack.training import build_target
 
@@ -96,6 +96,11 @@ class TestSinkhorn:
     def test_mass_mismatch_raises(self):
         with pytest.raises(MatchingError):
             sinkhorn(np.zeros((2, 2)), np.ones(2), 2 * np.ones(2))
+
+    def test_mass_tolerance_is_absolute(self):
+        sinkhorn(np.zeros((2, 2)), np.ones(2), np.array([1.0, 1.0 + 5e-10]))
+        with pytest.raises(MatchingError, match="mass mismatch"):
+            sinkhorn(np.zeros((2, 2)), np.ones(2), np.array([1.0, 1.0 + 2e-9]))
 
     def test_zero_iters_rejected(self):
         with pytest.raises(MatchingError):
@@ -200,7 +205,30 @@ def _both_loops(logits, rows, cols, iters):
     return on_tape, off_tape
 
 
+def _frozen_scaling(L, mu, nu, iters):
+    """The matrix-scaling sweeps as they were written with ``@``, for
+    logits inside the range the loop takes."""
+    top = L.max()
+    K = np.exp(L - top)
+    KT = K.T.copy()
+    b = np.ones(nu.size)
+    for _ in range(iters):
+        a = mu / (K @ b)
+        b = nu / (KT @ a)
+    return (L - top) + np.log(a).reshape(-1, 1) + np.log(b).reshape(1, -1)
+
+
 class TestMatrixScalingSinkhorn:
+    def test_matches_frozen_matmul_loop_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        for m in range(1, 31):
+            for n in range(1, 31):
+                L = rng.normal(size=(m, n)) * 3.0
+                mu, nu = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, n)
+                nu *= mu.sum() / nu.sum()
+                assert np.array_equal(_sinkhorn_scaling(L, mu, nu, 100),
+                                      _frozen_scaling(L, mu, nu, 100)), (m, n)
+
     @pytest.mark.parametrize("logits, rows, cols, iters", _equivalence_cases())
     def test_agrees_with_log_domain(self, logits, rows, cols, iters):
         on_tape, off_tape = _both_loops(logits, rows, cols, iters)

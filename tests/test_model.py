@@ -89,15 +89,25 @@ class TestEmbedding:
     def test_non_finite_cue_named_at_entry(self, cue, bad):
         dets = _dets(3)
         if cue == "location":
-            # the side a valid box can take the value on
-            side = "x_max" if bad > 0 else "x_min"
-            dets[1] = dataclasses.replace(
-                dets[1], box=dataclasses.replace(dets[1].box, **{side: bad}))
+            # ``Box`` rejects a non-finite coordinate, so set one past its
+            # check: the model does not rely on every box being built by it
+            box = dataclasses.replace(dets[1].box)
+            object.__setattr__(box, "x_max" if bad > 0 else "x_min", bad)
+            dets[1] = dataclasses.replace(dets[1], box=box)
         else:
             getattr(dets[1], f"{cue}_vec")[2] = bad
         asm = AssocModel(_cfg())
         with pytest.raises(ModelError,
                            match=f"^{cue} vectors hold a value that is not finite$"):
+            asm.cue_inputs(dets, H, W)
+
+    def test_overflowing_box_width_named_at_entry(self):
+        # finite coordinates whose width overflows to inf
+        dets = _dets(3)
+        dets[1] = dataclasses.replace(dets[1], box=Box(-1e308, 100.0, 1e308, 160.0))
+        asm = AssocModel(_cfg())
+        with pytest.raises(ModelError,
+                           match="^location vectors hold a value that is not finite$"):
             asm.cue_inputs(dets, H, W)
 
     def test_empty_frame_rejected(self):

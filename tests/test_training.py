@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cuetrack import matching
 from cuetrack.autodiff import AutodiffError, ParameterStore
-from cuetrack.geometry import Box
+from cuetrack.geometry import Box, GeometryError
 from cuetrack.model import AssocModel, ModelConfig
 from cuetrack.simulator import (ClassProfile, NoiseConfig, SceneConfig,
                                 generate_dataset, read_dataset, write_dataset)
@@ -56,6 +56,13 @@ class TestDatMatch:
     def test_bad_threshold(self):
         with pytest.raises(TrainingError):
             dat_match([], [], 0.0)
+
+    def test_non_finite_box_raises_instead_of_going_unmatched(self):
+        gt = [(7, Box(0, 0, 10, 10))]
+        with pytest.raises(GeometryError, match="non-finite"):
+            dat_match([Box(0, 0, float("nan"), 10)], gt, 0.5)
+        with pytest.raises(GeometryError, match="non-finite"):
+            dat_match([Box(0, 0, 10, 10)], [(7, Box(0, 0, float("inf"), 10))], 0.5)
 
 
 class TestBuildTarget:
