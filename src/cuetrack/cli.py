@@ -81,6 +81,8 @@ def cmd_track(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not 0 < args.iou_thr <= 1:
+        raise ConfigError(f"--iou-thr must be in (0, 1], got {args.iou_thr}")
     pred = tracker.read_results(args.pred)
     dataset = simulator.read_dataset(args.gt)
     # sequences were concatenated the same way during tracking

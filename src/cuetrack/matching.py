@@ -1,6 +1,6 @@
 """Frame-to-frame matching: descriptor score matrix, dustbin augmentation,
-Sinkhorn transport, the association loss, and an exact assignment solver
-used as a verification baseline.
+Sinkhorn transport, the association loss, and the package's one exact
+assignment solver, which evaluation and the verification baselines call.
 
 Sinkhorn has two loops computing the same map. On the tape it runs in
 the log domain, as one node whose backward replays the sweeps. Under
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -194,7 +193,15 @@ def association_loss(log_plan: Tensor, target: np.ndarray) -> Tensor:
 
 
 def hungarian(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
-    """Exact minimum-cost assignment of min(M, N) pairs."""
+    """Exact minimum-cost assignment of min(M, N) pairs: the (row, col)
+    pairs in row order, and their total cost.
+
+    This is the package's one assignment solver, scipy's
+    ``linear_sum_assignment`` (the Hungarian method). It is imported on the
+    first call, so a process that only trains or tracks never loads scipy.
+    """
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.asarray(cost, dtype=np.float64)
     if not np.all(np.isfinite(cost)):
         raise MatchingError("costs must be finite")

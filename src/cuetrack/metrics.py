@@ -10,9 +10,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import Box, iou, motion_stats
+from .matching import hungarian
 from .simulator import FrameSample
 
 
@@ -30,12 +30,14 @@ class EvalReport:
 
 def _match_frame(pred_boxes: list[Box], gt_boxes: list[Box],
                  iou_thr: float) -> list[tuple[int, int]]:
-    """Hungarian assignment on -IoU, keeping pairs with IoU >= threshold."""
+    """(pred, gt) index pairs in pred order: the assignment on -IoU from
+    ``matching.hungarian``, the package's one solver, keeping the pairs
+    with IoU >= threshold."""
     if not pred_boxes or not gt_boxes:
         return []
     mat = np.array([[iou(p, g) for g in gt_boxes] for p in pred_boxes])
-    rows, cols = linear_sum_assignment(-mat)
-    return [(r, c) for r, c in zip(rows, cols) if mat[r, c] >= iou_thr]
+    pairs, _ = hungarian(-mat)
+    return [(r, c) for r, c in pairs if mat[r, c] >= iou_thr]
 
 
 def association_accuracy(pred: list[tuple], gt_frames: list[FrameSample],
@@ -50,7 +52,11 @@ def association_accuracy(pred: list[tuple], gt_frames: list[FrameSample],
     When no GT track appears in two consecutive frames there is nothing
     to score, and the accuracy is NaN (``format_accuracy`` prints it as
     "undefined"). Predictions that match no such GT pair score 0.0.
+    ``iou_thr`` must lie in (0, 1]: at 0 or below, boxes that never
+    overlap would match.
     """
+    if not 0 < iou_thr <= 1:
+        raise MetricsError(f"iou_thr must be in (0, 1], got {iou_thr}")
     pred_by_frame: dict[int, list[tuple[int, Box]]] = defaultdict(list)
     for frame_id, tid, box, _score, _cid in pred:
         pred_by_frame[frame_id].append((tid, box))

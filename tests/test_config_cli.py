@@ -211,6 +211,17 @@ class TestCli:
             "association_accuracy undefined id_switches 0")
         assert open(report).read().splitlines()[1] == "undefined,0,0,1"
 
+    def test_eval_iou_threshold_outside_unit_interval_exits_2(self, tmp_path, capsys):
+        # the flag is checked before any file is read: these files do not exist
+        for thr in ("0", "-1", "nan", "1.5"):
+            rc = main(["eval", "--pred", str(tmp_path / "missing.csv"),
+                       "--gt", str(tmp_path / "missing"),
+                       "--out", str(tmp_path / "report.csv"),
+                       f"--iou-thr={thr}"])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "--iou-thr" in err and "missing" not in err
+
     def test_pipeline_is_byte_deterministic(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -7,6 +7,10 @@ assignment solver is checked against brute-force enumeration of all
 permutations for n <= 6.
 """
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -300,6 +304,42 @@ class TestAssignment:
     def test_non_finite_rejected(self):
         with pytest.raises(MatchingError):
             hungarian(np.array([[np.inf, 1.0], [1.0, 0.0]]))
+
+    def test_scipy_loads_only_where_an_assignment_is_solved(self):
+        """Importing the package, training and tracking never load scipy;
+        the first evaluation does, through ``hungarian``. Run in a fresh
+        interpreter, since this one has scipy loaded already."""
+        code = textwrap.dedent("""
+            import sys
+            import cuetrack, cuetrack.bench, cuetrack.cli
+            from cuetrack import metrics
+            from cuetrack.model import AssocModel, ModelConfig
+            from cuetrack.simulator import SceneConfig, generate_dataset
+            from cuetrack.tracker import TrackerConfig, track_sequence
+            from cuetrack.training import TrainConfig, train
+
+            scene = SceneConfig(duration_s=3.0, seed=1)
+            frames = generate_dataset(scene, 1)[0]
+            asm = AssocModel(ModelConfig(descriptor_dim=8, head_hidden=16,
+                                         num_layers=1, num_heads=2,
+                                         sinkhorn_iters=10))
+            history = train([frames], TrainConfig(epochs=1, batch_pairs=64),
+                            asm, scene.image_h, scene.image_w)
+            assert len(history) == 1, history
+            rows = track_sequence([(f.time_s, f.detections) for f in frames],
+                                  asm, TrackerConfig(), scene.image_h,
+                                  scene.image_w)
+            assert rows
+            assert "scipy" not in sys.modules, "scipy loaded before evaluation"
+            metrics.association_accuracy(rows, frames)
+            assert "scipy" in sys.modules, "evaluation did not load scipy"
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_sinkhorn_agrees_with_exact_assignment(self):
         """With well-separated descriptors the transport plan's row argmax

@@ -71,6 +71,20 @@ class TestAssociationAccuracy:
         assert rep.track_count == 2 and rep.gt_count == 2
         assert format_accuracy(rep.association_accuracy) == "undefined"
 
+    @pytest.mark.parametrize("thr", [0.0, -1.0, float("nan"), 1.5])
+    def test_iou_threshold_outside_unit_interval_rejected(self, thr):
+        # at 0 or below, predictions that never overlap would score 1.0
+        gt = [[(0, _box_at(0))] for _ in range(3)]
+        pred = _rows([(f, 7, 500) for f in range(3)])
+        with pytest.raises(MetricsError, match="iou_thr"):
+            association_accuracy(pred, _frames_from_gt(gt), iou_thr=thr)
+
+    def test_iou_threshold_one_matches_exact_boxes(self):
+        gt = [[(0, _box_at(0))] for _ in range(3)]
+        pred = _rows([(f, 7, 0) for f in range(3)])
+        rep = association_accuracy(pred, _frames_from_gt(gt), iou_thr=1.0)
+        assert rep.association_accuracy == 1.0
+
     def test_unknown_frame_rejected(self):
         gt = [[(0, _box_at(0))]]
         pred = _rows([(5, 7, 0)])
