@@ -17,8 +17,6 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from typing import Any
 
-import yaml
-
 from .model import ModelConfig, ModelError, paper_preset
 from .simulator import SceneConfig, SimulatorError
 from .tracker import TrackerConfig, TrackerError
@@ -161,6 +159,8 @@ def load_config(path: str | None = None,
     """
     layers = []
     if path is not None:
+        import yaml     # loaded only when a config file is read
+
         with open(path) as f:
             loaded = yaml.safe_load(f) or {}
         if not isinstance(loaded, dict):

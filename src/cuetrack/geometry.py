@@ -96,13 +96,25 @@ def class_agnostic_nms(dets: list[tuple[Box, float]], iou_thr: float,
     """
     order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
     kept: list[int] = []
+    # each survivor's corners and area: ``iou`` inlined, same operations
+    kept_boxes: list[tuple[float, float, float, float, float]] = []
     for i in order:
         if len(kept) >= max_keep:
             break
-        box_i = dets[i][0]
-        if any(iou(box_i, dets[j][0]) > iou_thr for j in kept):
-            continue
-        kept.append(i)
+        b = dets[i][0]
+        x0, y0, x1, y1 = b.x_min, b.y_min, b.x_max, b.y_max
+        area = (x1 - x0) * (y1 - y0)
+        for kx0, ky0, kx1, ky1, k_area in kept_boxes:
+            ix = min(x1, kx1) - max(x0, kx0)
+            iy = min(y1, ky1) - max(y0, ky0)
+            if ix > 0 and iy > 0:
+                inter = ix * iy
+                union = area + k_area - inter
+                if union > 0 and inter / union > iou_thr:
+                    break
+        else:
+            kept.append(i)
+            kept_boxes.append((x0, y0, x1, y1, area))
     return sorted(kept)
 
 

@@ -5,6 +5,17 @@ Generates reproducible tracking sequences: class-conditioned motion
 semantic vectors, identity-stable appearance vectors, optional absence
 windows, and a noisy detection channel (jitter, drops, false positives)
 feeding detection-aware training.
+
+Every generated sequence is a fixed function of its seed, down to the
+last bit. The per-object and per-detection scalar arithmetic (positions,
+velocities, reflections, box corners, jitter and clipped scores) runs on
+Python floats, each step the IEEE operation numpy does on one float64, in
+the same order: ``_clip`` is ``np.clip``'s ``minimum(maximum(x, lo), hi)``,
+and ``math.sqrt``, like ``np.sqrt``, is correctly rounded. ``np.exp``,
+``np.cos`` and ``np.sin`` stay numpy, because ``math.exp`` rounds some
+arguments differently from numpy's. The random draws stay as they are:
+each comes from a ``_hash_rng`` stream in a fixed order and shape. The cue
+vectors are numpy arrays.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -22,6 +34,19 @@ from .geometry import Box, GeometryError, class_agnostic_nms
 
 class SimulatorError(Exception):
     pass
+
+
+def _finite_positive(x: float) -> bool:
+    return 0.0 < x < math.inf        # NaN fails too
+
+
+def _finite_non_negative(x: float) -> bool:
+    return 0.0 <= x < math.inf
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    """``np.clip`` of one float: ``minimum(maximum(x, lo), hi)``."""
+    return min(max(x, lo), hi)
 
 
 @dataclass
@@ -52,8 +77,13 @@ class ClassProfile:
     def __post_init__(self):
         if self.motion_kind not in ("linear", "sinusoidal", "random_walk"):
             raise SimulatorError(f"unknown motion kind {self.motion_kind!r}")
-        if self.speed_px_per_s < 0 or self.arc_rate < 0:
-            raise SimulatorError("speed and arc rate must be non-negative")
+        if not (_finite_non_negative(self.speed_px_per_s)
+                and _finite_non_negative(self.arc_rate)):
+            raise SimulatorError(
+                "speed and arc rate must be finite and non-negative")
+        if not all(_finite_positive(v) for v in self.size_px):
+            raise SimulatorError(
+                f"size_px must be positive and finite, got {self.size_px}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +95,11 @@ class NoiseConfig:
     fp_rate: float = 0.0
 
     def __post_init__(self):
+        for name in ("semantic_sigma", "appearance_sigma",
+                     "box_jitter_sigma", "fp_rate"):
+            if not _finite_non_negative(getattr(self, name)):
+                raise SimulatorError(f"{name} must be finite and "
+                                     f"non-negative, got {getattr(self, name)}")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise SimulatorError("drop_prob must be in [0, 1]")
 
@@ -95,12 +130,35 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.fps <= 0 or self.duration_s <= 0:
+        if not (_finite_positive(self.fps)
+                and _finite_positive(self.duration_s)):
             raise SimulatorError("fps and duration must be positive")
+        if self.num_frames < 1:
+            raise SimulatorError(
+                f"duration_s {self.duration_s} at fps {self.fps} gives no frame")
+        if not (_finite_positive(self.image_h)
+                and _finite_positive(self.image_w)):
+            raise SimulatorError("image sides must be positive and finite")
         if not self.profiles or self.objects_per_class < 1:
             raise SimulatorError("need at least one profile and one object")
+        if self.semantic_dim < 1 or self.appearance_dim < 1:
+            raise SimulatorError("cue dims must be at least 1")
+        if self.max_detections < 1:
+            raise SimulatorError("max_detections must be at least 1")
+        if not 0.0 < self.nms_iou_thr <= 1.0:
+            raise SimulatorError("nms_iou_thr must be in (0, 1]")
+        n_objects = len(self.profiles) * self.objects_per_class
+        for a in self.absence_windows:
+            if not 0 <= a.object_index < n_objects:
+                raise SimulatorError(
+                    f"absence window object_index {a.object_index} is not "
+                    f"one of the scene's {n_objects} objects")
         if not 0.0 < self.gt_annotated_fraction <= 1.0:
             raise SimulatorError("gt_annotated_fraction must be in (0, 1]")
+
+    @property
+    def num_frames(self) -> int:
+        return int(round(self.duration_s * self.fps))
 
 
 def _hash_rng(*parts) -> np.random.Generator:
@@ -130,10 +188,11 @@ class _ObjectState:
         self.track_id = track_id
         self.profile = profile
         w, h = cfg.image_w, cfg.image_h
-        self.pos = np.array([rng.uniform(0.15 * w, 0.85 * w),
-                             rng.uniform(0.15 * h, 0.85 * h)])
+        self.image_w, self.image_h = float(w), float(h)
+        self.x = rng.uniform(0.15 * w, 0.85 * w)
+        self.y = rng.uniform(0.15 * h, 0.85 * h)
         theta = rng.uniform(0, 2 * np.pi)
-        self.direction = np.array([np.cos(theta), np.sin(theta)])
+        self.dx, self.dy = float(np.cos(theta)), float(np.sin(theta))
         self.phase = rng.uniform(0, 2 * np.pi)
         self.sin_amp = rng.uniform(0.5, 1.5) * profile.speed_px_per_s
         self.sin_freq = rng.uniform(0.3, 0.8)  # Hz
@@ -151,40 +210,43 @@ class _ObjectState:
             raw /= np.linalg.norm(raw)
         self.appearance = raw
 
-    def step(self, dt: float, t: float, cfg: SceneConfig) -> None:
+    def step(self, dt: float, t: float) -> None:
         kind = self.profile.motion_kind
         speed = self.profile.speed_px_per_s
         if kind == "linear":
-            vel = speed * self.direction
+            vx, vy = speed * self.dx, speed * self.dy
         elif kind == "sinusoidal":
-            perp = np.array([-self.direction[1], self.direction[0]])
+            # the wobble runs along the perpendicular (-dy, dx)
             omega = 2 * np.pi * self.sin_freq
-            wobble = self.sin_amp * omega * np.cos(omega * t + self.phase)
-            vel = speed * self.direction + wobble * perp
+            wobble = self.sin_amp * omega * float(np.cos(omega * t + self.phase))
+            vx = speed * self.dx - wobble * self.dy
+            vy = speed * self.dy + wobble * self.dx
         else:  # random walk
             theta = self.rng.uniform(0, 2 * np.pi)
-            vel = speed * np.array([np.cos(theta), np.sin(theta)])
-        self.pos = self.pos + vel * dt
+            vx, vy = speed * float(np.cos(theta)), speed * float(np.sin(theta))
+        self.x += vx * dt
+        self.y += vy * dt
         # reflect at image borders to keep the object in view
-        for axis, extent in ((0, cfg.image_w), (1, cfg.image_h)):
-            if self.pos[axis] < 0:
-                self.pos[axis] = -self.pos[axis]
-                self.direction[axis] = -self.direction[axis]
-            elif self.pos[axis] > extent:
-                self.pos[axis] = 2 * extent - self.pos[axis]
-                self.direction[axis] = -self.direction[axis]
+        if self.x < 0:
+            self.x, self.dx = -self.x, -self.dx
+        elif self.x > self.image_w:
+            self.x, self.dx = 2 * self.image_w - self.x, -self.dx
+        if self.y < 0:
+            self.y, self.dy = -self.y, -self.dy
+        elif self.y > self.image_h:
+            self.y, self.dy = 2 * self.image_h - self.y, -self.dy
         # aspect-ratio random walk at the profile's deformation rate
-        self.aspect *= np.exp(self.rng.normal(0.0, self.profile.arc_rate * dt))
-        self.aspect = float(np.clip(self.aspect, 0.2, 5.0))
+        self.aspect = _clip(self.aspect * float(np.exp(self.rng.normal(
+            0.0, self.profile.arc_rate * dt))), 0.2, 5.0)
 
-    def box(self, cfg: SceneConfig) -> Box:
-        w = np.sqrt(self.area * self.aspect)
-        h = np.sqrt(self.area / self.aspect)
-        x0 = np.clip(self.pos[0] - w / 2, 0, cfg.image_w - 1)
-        y0 = np.clip(self.pos[1] - h / 2, 0, cfg.image_h - 1)
-        x1 = np.clip(self.pos[0] + w / 2, x0 + 1e-3, cfg.image_w)
-        y1 = np.clip(self.pos[1] + h / 2, y0 + 1e-3, cfg.image_h)
-        return Box(float(x0), float(y0), float(x1), float(y1))
+    def box(self) -> Box:
+        w = math.sqrt(self.area * self.aspect)
+        h = math.sqrt(self.area / self.aspect)
+        x0 = _clip(self.x - w / 2, 0.0, self.image_w - 1)
+        y0 = _clip(self.y - h / 2, 0.0, self.image_h - 1)
+        x1 = _clip(self.x + w / 2, x0 + 1e-3, self.image_w)
+        y1 = _clip(self.y + h / 2, y0 + 1e-3, self.image_h)
+        return Box(x0, y0, x1, y1)
 
 
 def generate(cfg: SceneConfig, sequence_seed: int | None = None) -> list[FrameSample]:
@@ -203,22 +265,22 @@ def generate(cfg: SceneConfig, sequence_seed: int | None = None) -> list[FrameSa
                  if cfg.gt_annotated_fraction >= 1.0
                  or _hash_rng("annotated", seed, obj.track_id).uniform()
                  < cfg.gt_annotated_fraction}
+    appearance_by_id = {o.track_id: o.appearance for o in objects}
     dt = 1.0 / cfg.fps
-    n_frames = int(round(cfg.duration_s * cfg.fps))
     frames: list[FrameSample] = []
-    for fi in range(n_frames):
+    for fi in range(cfg.num_frames):
         t = fi * dt
         if fi > 0:
             for obj in objects:
-                obj.step(dt, t, cfg)
+                obj.step(dt, t)
         visible = []
         for idx, obj in enumerate(objects):
             a = absences.get(idx)
             if a is not None and a.start_s <= t < a.start_s + a.duration_s:
                 continue
-            visible.append((obj.track_id, obj.box(cfg), obj.profile.class_id))
+            visible.append((obj.track_id, obj.box(), obj.profile.class_id))
         detections = detect(visible, cfg, _hash_rng("detect", seed, fi),
-                            appearance_by_id={o.track_id: o.appearance for o in objects})
+                            appearance_by_id)
         gt = [g for g in visible if g[0] in annotated]
         frames.append(FrameSample(frame_id=fi, time_s=t, detections=detections, gt=gt))
     return frames
@@ -234,7 +296,7 @@ def detect(gt: list[tuple[int, Box, int]], cfg: SceneConfig,
         if rng.uniform() < noise.drop_prob:
             continue
         if noise.box_jitter_sigma > 0:
-            j = rng.normal(0, noise.box_jitter_sigma, size=4)
+            j = rng.normal(0, noise.box_jitter_sigma, size=4).tolist()
             x0, y0 = box.x_min + j[0], box.y_min + j[1]
             x1, y1 = box.x_max + j[2], box.y_max + j[3]
             box = Box(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
@@ -242,7 +304,7 @@ def detect(gt: list[tuple[int, Box, int]], cfg: SceneConfig,
             + rng.normal(0, noise.semantic_sigma, size=cfg.semantic_dim)
         app = appearance_by_id[track_id] \
             + rng.normal(0, noise.appearance_sigma, size=cfg.appearance_dim)
-        score = float(np.clip(rng.normal(0.85, 0.08), 1e-3, 1.0))
+        score = _clip(rng.normal(0.85, 0.08), 1e-3, 1.0)
         raw.append(Detection(box, score, sem, app, class_id))
     n_fp = rng.poisson(noise.fp_rate) if noise.fp_rate > 0 else 0
     for _ in range(n_fp):
@@ -256,7 +318,7 @@ def detect(gt: list[tuple[int, Box, int]], cfg: SceneConfig,
         sem /= np.linalg.norm(sem)
         app = rng.normal(size=cfg.appearance_dim)
         app /= np.linalg.norm(app)
-        score = float(np.clip(rng.normal(0.4, 0.1), 1e-3, 1.0))
+        score = _clip(rng.normal(0.4, 0.1), 1e-3, 1.0)
         raw.append(Detection(box, score, sem, app,
                              int(rng.integers(0, max(1, len(cfg.profiles))))))
     kept = class_agnostic_nms([(d.box, d.score) for d in raw],

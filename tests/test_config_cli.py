@@ -5,6 +5,9 @@ import dataclasses
 import json
 import os
 import struct
+import subprocess
+import sys
+import textwrap
 
 import pytest
 import yaml
@@ -323,6 +326,76 @@ class TestCli:
                          "--set", override]) == 2
             assert message in capsys.readouterr().err
             assert not (tmp_path / "m.ckpt").exists()
+
+    def test_bad_scene_value_exits_2_naming_the_scene(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        for override, message in (
+                ("scene.noise.semantic_sigma=-1",
+                 "scene.noise: semantic_sigma must be finite and non-negative"),
+                ("scene.noise.box_jitter_sigma=-0.5",
+                 "scene.noise: box_jitter_sigma must be finite"),
+                ("scene.noise.fp_rate=-1", "scene.noise: fp_rate must be finite"),
+                ('scene.profiles=[{"class_id": 0, "size_px": [0, 10]}]',
+                 "scene.profiles[0]: size_px must be positive and finite"),
+                ('scene.profiles=[{"class_id": 0, "speed_px_per_s": NaN}]',
+                 "scene.profiles[0].speed_px_per_s must be a finite number"),
+                ("scene.image_w=0",
+                 "scene: image sides must be positive and finite"),
+                ("scene.semantic_dim=0", "scene: cue dims must be at least 1"),
+                ("scene.max_detections=0",
+                 "scene: max_detections must be at least 1"),
+                ("scene.nms_iou_thr=0", "scene: nms_iou_thr must be in (0, 1]"),
+                ("scene.duration_s=0.1",
+                 "scene: duration_s 0.1 at fps 2.0 gives no frame"),
+                ('scene.absence_windows=[{"object_index": 3, "start_s": 1.0,'
+                 ' "duration_s": 2.0}]',
+                 "scene: absence window object_index 3 is not one of the "
+                 "scene's 3 objects")):
+            assert main(["simulate", "--out", str(out),
+                         "--set", override]) == 2, override
+            assert message in capsys.readouterr().err, override
+            assert not out.exists()
+
+    def test_yaml_loads_only_when_a_config_file_is_read(self, tmp_path):
+        """Importing the package, simulating from flags, training and
+        tracking never load yaml; reading a config file does. Run in a
+        fresh interpreter, since this one has yaml loaded already."""
+        cfg_file = tmp_path / "run.yaml"
+        cfg_file.write_text("scene:\n  fps: 4.0\n")
+        code = textwrap.dedent(f"""
+            import sys
+            import cuetrack, cuetrack.bench, cuetrack.cli
+            from cuetrack.config import load_config
+            from cuetrack.model import AssocModel, ModelConfig
+            from cuetrack.simulator import SceneConfig, generate_dataset
+            from cuetrack.tracker import TrackerConfig, track_sequence
+            from cuetrack.training import TrainConfig, train
+
+            assert cuetrack.cli.main(["simulate", "--out", {str(tmp_path / "d")!r},
+                                      "--num-sequences", "1",
+                                      "--set", "scene.duration_s=2"]) == 0
+            scene = SceneConfig(duration_s=3.0, seed=1)
+            frames = generate_dataset(scene, 1)[0]
+            asm = AssocModel(ModelConfig(descriptor_dim=8, head_hidden=16,
+                                         num_layers=1, num_heads=2,
+                                         sinkhorn_iters=10))
+            history = train([frames], TrainConfig(epochs=1, batch_pairs=64),
+                            asm, scene.image_h, scene.image_w)
+            assert len(history) == 1, history
+            rows = track_sequence([(f.time_s, f.detections) for f in frames],
+                                  asm, TrackerConfig(), scene.image_h,
+                                  scene.image_w)
+            assert rows
+            assert "yaml" not in sys.modules, "yaml loaded without a config file"
+            assert load_config({str(cfg_file)!r}).scene.fps == 4.0
+            assert "yaml" in sys.modules, "reading a config file did not load yaml"
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_flags_override_the_file_and_the_preset(self, tmp_path):
         path = tmp_path / "run.yaml"

@@ -105,6 +105,25 @@ class TestNms:
             for b in kept[i + 1:]:
                 assert iou(dets[a][0], dets[b][0]) <= 0.5 + 1e-12
 
+    @given(st.lists(st.tuples(
+               st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h),
+                         st.integers(0, 12), st.integers(0, 12),
+                         st.integers(0, 8), st.integers(0, 8)),
+               st.sampled_from([0.2, 0.5, 0.9])), max_size=14),
+           st.sampled_from([0.05, 0.25, 0.5, 1.0]), st.integers(1, 15))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_greedy_suppression_by_iou(self, dets, thr, max_keep):
+        """The survivors of a plain greedy pass that calls ``iou``. Small
+        integer corners give repeated boxes, zero-area boxes and IoUs equal
+        to the threshold; scores repeat too."""
+        order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
+        want: list[int] = []
+        for i in order:
+            if len(want) < max_keep and all(
+                    iou(dets[i][0], dets[j][0]) <= thr for j in want):
+                want.append(i)
+        assert class_agnostic_nms(dets, thr, max_keep) == sorted(want)
+
 
 class TestMotionStats:
     def test_linear_motion(self):

@@ -4,14 +4,19 @@ detection channel and JSONL round trips.
 False-positive and drop counts are checked against their analytic
 expectations (Poisson and Bernoulli means) with Monte-Carlo tolerances.
 """
+import hashlib
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuetrack.bench import benchmark_scene
 from cuetrack.geometry import Box, iou, motion_stats
 from cuetrack.simulator import (AbsenceWindow, ClassProfile, NoiseConfig,
-                                SceneConfig, SimulatorError, _hash_rng,
+                                SceneConfig, SimulatorError, _clip, _hash_rng,
                                 class_prototype, generate, generate_dataset,
                                 read_dataset, read_sequence, write_dataset,
                                 write_sequence)
@@ -31,6 +36,92 @@ def _tracks(frames):
         for tid, box, cid in fr.gt:
             out.setdefault(tid, []).append((fr.frame_id, box, cid))
     return out
+
+
+def _every_branch_scene():
+    """Small, fast and crowded: all three motion kinds, reflections at all
+    four borders, the aspect ratio clipped at both ends, boxes clipped at
+    the image edges, box jitter, drops, false positives, scores clipped at
+    1, two absence windows, sparse annotation, lookalike appearance and
+    frames cut to ``max_detections``."""
+    return SceneConfig(
+        image_h=300.0, image_w=400.0, fps=4.0, duration_s=15.0,
+        profiles=(ClassProfile(0, "linear", 150.0, 1.5, (90.0, 40.0)),
+                  ClassProfile(1, "sinusoidal", 90.0, 0.5, (40.0, 120.0)),
+                  ClassProfile(2, "random_walk", 60.0, 3.0, (160.0, 160.0))),
+        objects_per_class=3, semantic_dim=8, appearance_dim=12,
+        noise=NoiseConfig(semantic_sigma=0.1, appearance_sigma=0.1,
+                          box_jitter_sigma=3.0, drop_prob=0.1, fp_rate=2.0),
+        lookalike_appearance=True,
+        absence_windows=(AbsenceWindow(1, 2.0, 3.0),
+                         AbsenceWindow(7, 6.0, 4.5)),
+        gt_annotated_fraction=0.6, max_detections=8, nms_iou_thr=0.4, seed=3)
+
+
+def _data_sha256(sequences) -> str:
+    """sha256 over every frame's id and time, ground-truth entry, and
+    detection box, score, class and cue-vector bytes."""
+    h = hashlib.sha256()
+    for frames in sequences:
+        h.update(struct.pack("<q", len(frames)))
+        for fr in frames:
+            h.update(struct.pack("<qd", fr.frame_id, fr.time_s))
+            if fr.gt is None:
+                h.update(b"no gt")
+            else:
+                h.update(struct.pack("<q", len(fr.gt)))
+                for tid, box, cid in fr.gt:
+                    h.update(struct.pack("<q4dq", tid, *box.as_list(), cid))
+            h.update(struct.pack("<q", len(fr.detections)))
+            for d in fr.detections:
+                h.update(struct.pack("<4ddq", *d.box.as_list(), d.score,
+                                     d.class_id))
+                h.update(np.asarray(d.semantic_vec, np.float64).tobytes())
+                h.update(np.asarray(d.appearance_vec, np.float64).tobytes())
+    return h.hexdigest()
+
+
+class TestDataPin:
+    """Generated data is a fixed function of the scene and its seeds: any
+    change to the simulator's arithmetic or draw order moves these."""
+
+    def test_benchmark_scene_data_is_pinned(self):
+        seqs = generate_dataset(benchmark_scene(100), 12, 100)
+        assert _data_sha256(seqs) == (
+            "ff9fa787c83a0c463570385b6cd7ce0030c2249f670786d8a75b01ed70ef2680")
+
+    def test_every_branch_scene_data_is_pinned(self):
+        seqs = generate_dataset(_every_branch_scene(), 12)
+        assert _data_sha256(seqs) == (
+            "b56a3d96543af40fe26656ca9b8ab38dff1e21ee1a26f6d9068042adf77445f8")
+
+    def test_every_branch_scene_reaches_its_branches(self):
+        scene = _every_branch_scene()
+        frames = [fr for seq in generate_dataset(scene, 12) for fr in seq]
+        gt = [box for fr in frames for _, box, _ in fr.gt]
+        dets = [d for fr in frames for d in fr.detections]
+        assert any(b.x_min == 0.0 for b in gt)
+        assert any(b.y_min == 0.0 for b in gt)
+        assert any(b.x_max == scene.image_w for b in gt)
+        assert any(b.y_max == scene.image_h for b in gt)
+        assert any(d.score == 1.0 for d in dets)
+        assert any(len(fr.detections) == scene.max_detections for fr in frames)
+        inside = [b.width / b.height for b in gt
+                  if 0.0 < b.x_min and b.x_max < scene.image_w
+                  and 0.0 < b.y_min and b.y_max < scene.image_h]
+        assert any(math.isclose(r, 5.0) for r in inside)
+        assert any(math.isclose(r, 0.2) for r in inside)
+
+    # at, just inside and outside both bounds; -0.0 is left out, since
+    # numpy's own maximum and clip disagree on its sign and no clipped
+    # value in a scene is a signed zero
+    @pytest.mark.parametrize("x", [-1.5, -1e-300, 0.0, 1e-300, 0.5,
+                                   1.0 - 1e-16, 1.0, 1.0 + 2e-16, 1.5])
+    def test_clip_matches_numpy(self, x):
+        got = _clip(x, 0.0, 1.0)
+        want = np.clip(x, 0.0, 1.0)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 class TestDeterminism:
@@ -184,6 +275,59 @@ class TestSparseAnnotations:
             _clean_scene(gt_annotated_fraction=0.0)
         with pytest.raises(SimulatorError):
             _clean_scene(gt_annotated_fraction=1.2)
+
+
+class TestSceneChecks:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"semantic_sigma": -1.0}, "semantic_sigma must be finite"),
+        ({"appearance_sigma": math.nan}, "appearance_sigma must be finite"),
+        ({"box_jitter_sigma": -0.5}, "box_jitter_sigma must be finite"),
+        ({"fp_rate": -1.0}, "fp_rate must be finite"),
+        ({"fp_rate": math.inf}, "fp_rate must be finite"),
+        ({"drop_prob": 2.0}, "drop_prob must be in [0, 1]"),
+    ])
+    def test_bad_noise_rejected(self, kwargs, message):
+        with pytest.raises(SimulatorError, match=message.replace("[", r"\[")):
+            NoiseConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"size_px": (0.0, 10.0)}, "size_px must be positive and finite"),
+        ({"size_px": (10.0, -1.0)}, "size_px must be positive and finite"),
+        ({"size_px": (math.inf, 10.0)}, "size_px must be positive and finite"),
+        ({"speed_px_per_s": math.nan}, "speed and arc rate must be finite"),
+        ({"speed_px_per_s": -1.0}, "speed and arc rate must be finite"),
+        ({"arc_rate": math.inf}, "speed and arc rate must be finite"),
+    ])
+    def test_bad_profile_rejected(self, kwargs, message):
+        with pytest.raises(SimulatorError, match=message):
+            ClassProfile(0, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"fps": math.nan}, "fps and duration must be positive"),
+        ({"duration_s": 0.1}, "gives no frame"),
+        ({"image_h": 0.0}, "image sides must be positive and finite"),
+        ({"image_w": math.inf}, "image sides must be positive and finite"),
+        ({"semantic_dim": 0}, "cue dims must be at least 1"),
+        ({"appearance_dim": 0}, "cue dims must be at least 1"),
+        ({"max_detections": 0}, "max_detections must be at least 1"),
+        ({"nms_iou_thr": 0.0}, r"nms_iou_thr must be in \(0, 1\]"),
+        ({"nms_iou_thr": 1.5}, r"nms_iou_thr must be in \(0, 1\]"),
+        ({"absence_windows": (AbsenceWindow(3, 1.0, 1.0),)},
+         "object_index 3 is not one of the scene's 3 objects"),
+        ({"absence_windows": (AbsenceWindow(-1, 1.0, 1.0),)},
+         "object_index -1 is not one of"),
+    ])
+    def test_bad_scene_rejected(self, kwargs, message):
+        with pytest.raises(SimulatorError, match=message):
+            _clean_scene(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        NoiseConfig(0.0, 0.0, 0.0, 1.0, 0.0)
+        ClassProfile(0, speed_px_per_s=0.0, arc_rate=0.0, size_px=(1e-3, 1e-3))
+        scene = _clean_scene(duration_s=0.3, semantic_dim=1, appearance_dim=1,
+                             max_detections=1, nms_iou_thr=1.0,
+                             absence_windows=(AbsenceWindow(2, 0.0, 1.0),))
+        assert len(generate(scene)) == 1   # 0.3 s at 2 fps rounds to 1 frame
 
 
 class TestSerialization:
