@@ -22,6 +22,14 @@ group-norm arithmetic has one copy, shared by the primitives and the
 fused nodes; it reduces with ``np.add.reduce`` and works in place, which
 are the same float operations as the method wrappers and the copies.
 
+A tensor's ``.grad`` is a copy of the first gradient it receives, and
+later ones are added into it in place; a gradient of another shape than
+the tensor's raises ``AutodiffError`` naming the tensor. The backward
+walks interior nodes only, in the order of a walk over every node. The
+log-domain Sinkhorn node (``matching.sinkhorn_log``) keeps two matrices
+per sweep for its backward, about 0.2 MB per training pair at desk
+size, which go with the tape once the pair's backward has run.
+
 The attention forward batches its heads: one ``matmul`` over (heads,
 rows, dh) views of q and k gives every head's logits, then one softmax
 and one ``matmul`` with v's view. numpy runs a stacked ``matmul`` as
@@ -134,10 +142,14 @@ class Tensor:
     def _accumulate(self, g: np.ndarray) -> None:
         if not self.takes_grad():
             return
+        if g.shape != self.data.shape:
+            raise AutodiffError(
+                f"tensor {self.name or '<unnamed>'}: gradient shape {g.shape} "
+                f"!= shape {self.data.shape}")
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            self.grad = g.copy("K")
         else:
-            self.grad = self.grad + g
+            self.grad += g
 
     def backward(self, output_grad: np.ndarray | None = None) -> None:
         """Reverse pass from this node; visits every node exactly once."""
@@ -147,6 +159,7 @@ class Tensor:
         if output_grad.shape != self.data.shape:
             raise AutodiffError(
                 f"output grad shape {output_grad.shape} != tensor shape {self.data.shape}")
+        # leaves have no backward: the walk skips them, which keeps its order
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -160,7 +173,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node.parents:
-                if id(p) not in seen:
+                if p.parents and id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(output_grad)
         for node in reversed(topo):
@@ -198,10 +211,10 @@ def _wrap(x) -> Tensor:
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum grad down to `shape` (inverse of numpy broadcasting)."""
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = np.add.reduce(grad, axis=0)
     for axis, extent in enumerate(shape):
         if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = np.add.reduce(grad, axis=axis, keepdims=True)
     return grad
 
 
@@ -299,7 +312,7 @@ def _softmax(a: np.ndarray) -> np.ndarray:
 
 def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Gradient through the row softmax ``p`` of upstream gradient ``g``."""
-    return (g - (g * p).sum(axis=-1, keepdims=True)) * p
+    return (g - np.add.reduce(g * p, axis=-1, keepdims=True)) * p
 
 
 def softmax_rows(a) -> Tensor:
@@ -447,11 +460,10 @@ def _group_norm(a: np.ndarray, gamma: Tensor, beta: Tensor,
         gamma._accumulate(np.add.reduce(g * xhat, axis=0).reshape(gamma.data.shape))
         beta._accumulate(np.add.reduce(g, axis=0).reshape(beta.data.shape))
         dxhat = (g * g_row).reshape(n, num_groups, gw)
-        xh = xhat.reshape(n, num_groups, gw)
-        # standard normalization backward per group
+        # standard normalization backward per group; dev is xhat by group
         dx = inv / gw * (gw * dxhat
                          - np.add.reduce(dxhat, axis=2, keepdims=True)
-                         - xh * np.add.reduce(dxhat * xh, axis=2, keepdims=True))
+                         - dev * np.add.reduce(dxhat * dev, axis=2, keepdims=True))
         return dx.reshape(n, c)
 
     out = xhat * g_row
@@ -491,7 +503,7 @@ def linear_gn_relu(x, W: Tensor, b: Tensor, gamma: Tensor, beta: Tensor) -> Tens
 
     def backward(g):
         ga = norm_backward(g * mask)
-        b._accumulate(_unbroadcast(ga, b.data.shape))
+        b._accumulate(np.add.reduce(ga, axis=0).reshape(b.data.shape))
         if x.takes_grad():
             x._accumulate(ga @ W.data.T)
         W._accumulate(x.data.T @ ga)

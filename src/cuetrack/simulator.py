@@ -153,6 +153,12 @@ class SceneConfig:
                 raise SimulatorError(
                     f"absence window object_index {a.object_index} is not "
                     f"one of the scene's {n_objects} objects")
+            if not _finite_non_negative(a.start_s):
+                raise SimulatorError(f"absence window start_s {a.start_s} "
+                                     f"must be finite and non-negative")
+            if not _finite_positive(a.duration_s):
+                raise SimulatorError(f"absence window duration_s "
+                                     f"{a.duration_s} must be positive and finite")
         if not 0.0 < self.gt_annotated_fraction <= 1.0:
             raise SimulatorError("gt_annotated_fraction must be in (0, 1]")
 
@@ -259,7 +265,9 @@ def generate(cfg: SceneConfig, sequence_seed: int | None = None) -> list[FrameSa
         for _ in range(cfg.objects_per_class):
             objects.append(_ObjectState(tid, profile, cfg, _hash_rng("object", seed, tid)))
             tid += 1
-    absences = {(a.object_index): a for a in cfg.absence_windows}
+    absences: dict[int, list[AbsenceWindow]] = {}
+    for a in cfg.absence_windows:
+        absences.setdefault(a.object_index, []).append(a)
     # sparse annotation: only a deterministic subset of tracks carries GT
     annotated = {obj.track_id for obj in objects
                  if cfg.gt_annotated_fraction >= 1.0
@@ -275,8 +283,9 @@ def generate(cfg: SceneConfig, sequence_seed: int | None = None) -> list[FrameSa
                 obj.step(dt, t)
         visible = []
         for idx, obj in enumerate(objects):
-            a = absences.get(idx)
-            if a is not None and a.start_s <= t < a.start_s + a.duration_s:
+            windows = absences.get(idx)
+            if windows and any(a.start_s <= t < a.start_s + a.duration_s
+                               for a in windows):
                 continue
             visible.append((obj.track_id, obj.box(), obj.profile.class_id))
         detections = detect(visible, cfg, _hash_rng("detect", seed, fi),

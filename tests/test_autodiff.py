@@ -142,6 +142,24 @@ class TestTapeMechanics:
         out.backward()
         assert np.allclose(a.grad, [[5.0]])
 
+    def test_shared_input_sums_without_touching_the_upstream_gradient(self):
+        a = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        g = RNG.normal(size=(2, 3))
+        upstream = g.copy()
+        add(a, a).backward(g)
+        assert np.array_equal(a.grad, g + g)
+        assert np.array_equal(g, upstream)
+        assert a.grad is not g
+
+    def test_gradient_of_another_shape_raises_naming_the_tensor(self):
+        a = Tensor(np.ones((1, 4)), requires_grad=True, name="row")
+        with pytest.raises(AutodiffError, match=r"row.*\(3, 4\).*\(1, 4\)"):
+            a._accumulate(np.ones((3, 4)))
+        a._accumulate(np.ones((1, 4)))
+        with pytest.raises(AutodiffError, match="row"):
+            a._accumulate(np.ones((3, 4)))
+        assert np.array_equal(a.grad, np.ones((1, 4)))
+
     def test_backward_repeats_after_reset(self):
         a = Tensor(np.array([[3.0]]), requires_grad=True)
         scale(a, 2.0).backward()

@@ -350,7 +350,25 @@ class TestCli:
                 ('scene.absence_windows=[{"object_index": 3, "start_s": 1.0,'
                  ' "duration_s": 2.0}]',
                  "scene: absence window object_index 3 is not one of the "
-                 "scene's 3 objects")):
+                 "scene's 3 objects"),
+                ('scene.absence_windows=[{"object_index": 0, "start_s": -1.0,'
+                 ' "duration_s": 2.0}]',
+                 "scene: absence window start_s -1.0 must be finite and "
+                 "non-negative"),
+                ('scene.absence_windows=[{"object_index": 0, "start_s": 1.0,'
+                 ' "duration_s": 0}]',
+                 "scene: absence window duration_s 0.0 must be positive and "
+                 "finite"),
+                ('scene.absence_windows=[{"object_index": 0, "start_s": 1.0,'
+                 ' "duration_s": -2.0}]',
+                 "scene: absence window duration_s -2.0 must be positive"),
+                ('scene.absence_windows=[{"object_index": 0, "start_s": NaN,'
+                 ' "duration_s": 2.0}]',
+                 "scene.absence_windows[0].start_s must be a finite number"),
+                ('scene.absence_windows=[{"object_index": 0, "start_s": 1.0,'
+                 ' "duration_s": Infinity}]',
+                 "scene.absence_windows[0].duration_s must be a finite "
+                 "number")):
             assert main(["simulate", "--out", str(out),
                          "--set", override]) == 2, override
             assert message in capsys.readouterr().err, override

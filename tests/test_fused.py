@@ -194,6 +194,50 @@ def frozen_attention_forward(xq, xkv, Wq, Wk, Wv, Wo, num_heads):
     return merged @ Wo
 
 
+def frozen_linear_gn_relu(x, W, b, gamma, beta, num_groups):
+    """The hidden layer as it was written before the tape summed gradients
+    in place: the output and the gradients of x, W, b, gamma and beta."""
+    normed, norm_backward = frozen_group_norm(x @ W + b, gamma, beta, num_groups)
+    mask = normed > 0
+
+    def backward(g):
+        ga, g_gamma, g_beta = norm_backward(g * mask)
+        return ga @ W.T, x.T @ ga, ga.sum(axis=0, keepdims=True), g_gamma, g_beta
+
+    return normed * mask, backward
+
+
+def frozen_attention(xq, xkv, Wq, Wk, Wv, Wo, num_heads):
+    """The attention node as it was written before the tape summed
+    gradients in place: the output and the gradients of xq, xkv and the
+    four weights (xq's and xkv's summed when they are one array)."""
+    q, k, v = xq @ Wq, xkv @ Wk, xkv @ Wv
+    dh = q.shape[1] // num_heads
+    k_scale = float(1.0 / np.sqrt(dh))
+    cols = [slice(h * dh, (h + 1) * dh) for h in range(num_heads)]
+    probs = [frozen_softmax((q[:, sl] @ k[:, sl].T) * k_scale) for sl in cols]
+    merged = np.concatenate([p @ v[:, sl] for p, sl in zip(probs, cols)], axis=1)
+
+    def backward(g):
+        g_merged = g @ Wo.T
+        dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        for p, sl in zip(probs, cols):
+            g_out = g_merged if num_heads == 1 else g_merged[:, sl].copy()
+            gp = g_out @ v[:, sl].T
+            g_logits = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * k_scale
+            dq[:, sl] = g_logits @ k[:, sl]
+            dk[:, sl] = (q[:, sl].T @ g_logits).T
+            dv[:, sl] = p.T @ g_out
+        gx = [dq @ Wq.T, dk @ Wk.T, dv @ Wv.T]
+        if xq is xkv:
+            gxq = gxkv = (gx[0] + gx[1]) + gx[2]
+        else:
+            gxq, gxkv = gx[0], gx[1] + gx[2]
+        return (gxq, gxkv, xq.T @ dq, xkv.T @ dk, xkv.T @ dv, merged.T @ g)
+
+    return merged @ Wo, backward
+
+
 # the row counts of a desk model's frames: the one-row gemv case up to
 # the most detections a benchmark frame holds
 FRAME_ROWS = [1, 2, 3, 7, 10, 16, 24]
@@ -258,6 +302,55 @@ class TestFrozenArithmetic:
         self._assert_attention_forward(rng.normal(size=(rows[0], 32)),
                                        rng.normal(size=(rows[1], 32)),
                                        num_heads, rng)
+
+    @pytest.mark.parametrize("in_width, width", [(16, 64), (4, 64), (64, 64),
+                                                 (64, 8)])
+    @pytest.mark.parametrize("rows", FRAME_ROWS)
+    def test_linear_gn_relu_backward(self, in_width, width, rows):
+        rng = np.random.default_rng(rows * 1000 + in_width + width + 7)
+        arrays = [rng.normal(size=(rows, in_width)),
+                  rng.normal(size=(in_width, width)) / np.sqrt(in_width)] + [
+            rng.normal(size=(1, width)) for _ in range(3)]
+        g = rng.normal(size=(rows, width))
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = ad.linear_gn_relu(*leaves)
+        out.backward(g)
+        expect, backward = frozen_linear_gn_relu(*arrays,
+                                                 8 if width == 64 else 1)
+        assert out.data.tobytes() == expect.tobytes()
+        for i, (leaf, grad) in enumerate(zip(leaves, backward(g))):
+            assert leaf.grad.tobytes() == grad.tobytes(), f"input {i}"
+
+    @staticmethod
+    def _assert_attention_backward(xq, xkv, num_heads, rng):
+        d = xq.shape[1]
+        Ws = [rng.normal(size=(d, d)) / np.sqrt(d) for _ in range(4)]
+        g = rng.normal(size=(xq.shape[0], d))
+        weights = [Tensor(W.copy(), requires_grad=True) for W in Ws]
+        tq = Tensor(xq.copy(), requires_grad=True)
+        tkv = tq if xkv is xq else Tensor(xkv.copy(), requires_grad=True)
+        out = ad.multihead_attention(tq, tkv, *weights, num_heads)
+        out.backward(g)
+        expect, backward = frozen_attention(xq, xkv, *Ws, num_heads)
+        assert out.data.tobytes() == expect.tobytes()
+        for i, (leaf, grad) in enumerate(zip([tq, tkv, *weights], backward(g))):
+            assert leaf.grad.tobytes() == grad.tobytes(), f"input {i}"
+
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    @pytest.mark.parametrize("rows", FRAME_ROWS)
+    def test_self_attention_backward(self, num_heads, rows):
+        rng = np.random.default_rng(rows * 10 + num_heads + 5)
+        x = rng.normal(size=(rows, 32))
+        self._assert_attention_backward(x, x, num_heads, rng)
+
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    @pytest.mark.parametrize("rows", [(1, 24), (24, 1), (1, 1), (7, 10),
+                                      (16, 3), (24, 24)])
+    def test_cross_attention_backward(self, num_heads, rows):
+        rng = np.random.default_rng(rows[0] * 100 + rows[1] * 10 + num_heads + 5)
+        self._assert_attention_backward(rng.normal(size=(rows[0], 32)),
+                                        rng.normal(size=(rows[1], 32)),
+                                        num_heads, rng)
 
     @pytest.mark.parametrize("rows", FRAME_ROWS)
     def test_softmax_rows(self, rows):

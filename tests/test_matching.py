@@ -201,6 +201,85 @@ class TestFusedSinkhorn:
         assert lp.parents == (x,)
 
 
+def frozen_sinkhorn_log(L, mu, nu, iters):
+    """The log-domain loop of the ``sinkhorn_log`` node as it was written
+    when its backward recomputed each sweep's matrices: the log-plan and
+    a function from an upstream gradient to the logits' gradient."""
+    log_mu = np.log(mu).reshape(-1, 1)
+    log_nu = np.log(nu).reshape(1, -1)
+    vs = [np.zeros((1, nu.size))]
+    rs, us, cs = [], [], []
+    for _ in range(iters):
+        a = L + vs[-1]
+        m = a.max(axis=1, keepdims=True)
+        r = m + np.log(np.exp(a - m).sum(axis=1, keepdims=True))
+        u = log_mu + r * -1.0
+        b = L + u
+        m = b.max(axis=0, keepdims=True)
+        c = m + np.log(np.exp(b - m).sum(axis=0, keepdims=True))
+        rs.append(r)
+        us.append(u)
+        cs.append(c)
+        vs.append(log_nu + c * -1.0)
+
+    def backward(g):
+        gL = g
+        gu = g.sum(axis=1, keepdims=True)
+        gv = g.sum(axis=0, keepdims=True)
+        for k in reversed(range(iters)):
+            gb = (gv * -1.0) * np.exp((L + us[k]) - cs[k])
+            gL = gL + gb
+            gb_rows = gb.sum(axis=1, keepdims=True)
+            gu = gu + gb_rows if k == iters - 1 else gb_rows
+            ga = (gu * -1.0) * np.exp((L + vs[k]) - rs[k])
+            gL = gL + ga
+            gv = ga.sum(axis=0, keepdims=True)
+        return gL
+
+    return (L + us[-1]) + vs[-1], backward
+
+
+class TestFrozenSinkhorn:
+    """The node's loop against its frozen copy, byte for byte, on the
+    tape (forward and backward) and in the log fallback under
+    ``no_grad``."""
+
+    def test_random_cases_byte_for_byte(self):
+        rng = np.random.default_rng(18)
+        for _ in range(240):
+            m, n = (int(x) for x in rng.integers(1, 25, size=2))
+            iters = int(rng.integers(1, 121))
+            L = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-1.0, 1.5)
+            mu, nu = rng.uniform(0.2, 3.0, m), rng.uniform(0.2, 3.0, n)
+            nu *= mu.sum() / nu.sum()
+            # the loss's upstream gradient is -0.0 on cells off the target
+            g = rng.normal(size=(m, n))
+            g[rng.random((m, n)) < 0.3] = -0.0
+            expect, backward = frozen_sinkhorn_log(L, mu, nu, iters)
+            x = Tensor(L.copy(), requires_grad=True)
+            lp = sinkhorn_log(x, mu, nu, iters)
+            lp.backward(g)
+            where = (m, n, iters)
+            assert lp.data.tobytes() == expect.tobytes(), where
+            assert x.grad.tobytes() == backward(g).tobytes(), where
+            # the node's own upstream gradient is left as it was
+            assert lp.grad.tobytes() == g.tobytes(), where
+
+    @pytest.mark.parametrize("m, n, iters", [(1, 2, 1), (4, 5, 100),
+                                             (24, 17, 119), (11, 11, 60)])
+    def test_log_fallback_under_no_grad_byte_for_byte(self, m, n, iters):
+        # a logit 650 below the rest puts the range past _EXP_RANGE
+        rng = np.random.default_rng(m * 100 + n)
+        L = rng.normal(size=(m, n)) * 3.0
+        L[0, 0] = -650.0
+        mu, nu = rng.uniform(0.2, 3.0, m), rng.uniform(0.2, 3.0, n)
+        nu *= mu.sum() / nu.sum()
+        with ad.no_grad():
+            lp = sinkhorn_log(constant(L), mu, nu, iters)
+        assert lp.data.tobytes() == frozen_sinkhorn_log(L, mu, nu,
+                                                        iters)[0].tobytes()
+
+
 def _both_loops(logits, rows, cols, iters):
     """The log-plan on the tape and under ``no_grad``."""
     on_tape = sinkhorn_log(constant(logits), rows, cols, iters).data

@@ -190,6 +190,15 @@ class TestMotion:
                 assert 0 <= b.x_min <= b.x_max <= 800.0
                 assert 0 <= b.y_min <= b.y_max <= 600.0
 
+    def test_two_absence_windows_of_one_object_both_hold(self):
+        scene = _clean_scene(duration_s=10.0,
+                             absence_windows=(AbsenceWindow(0, 1.0, 2.0),
+                                              AbsenceWindow(0, 6.0, 2.0)))
+        for fr in generate(scene):
+            ids = [tid for tid, _, _ in fr.gt]
+            hidden = 1.0 <= fr.time_s < 3.0 or 6.0 <= fr.time_s < 8.0
+            assert (0 not in ids) == hidden, fr.time_s
+
     def test_absence_window_removes_object(self):
         scene = _clean_scene(absence_windows=(AbsenceWindow(0, 2.0, 3.0),))
         for fr in generate(scene):
@@ -316,6 +325,20 @@ class TestSceneChecks:
          "object_index 3 is not one of the scene's 3 objects"),
         ({"absence_windows": (AbsenceWindow(-1, 1.0, 1.0),)},
          "object_index -1 is not one of"),
+        ({"absence_windows": (AbsenceWindow(0, -0.5, 1.0),)},
+         "start_s -0.5 must be finite and non-negative"),
+        ({"absence_windows": (AbsenceWindow(0, math.nan, 1.0),)},
+         "start_s nan must be finite and non-negative"),
+        ({"absence_windows": (AbsenceWindow(0, math.inf, 1.0),)},
+         "start_s inf must be finite and non-negative"),
+        ({"absence_windows": (AbsenceWindow(0, 1.0, 0.0),)},
+         "duration_s 0.0 must be positive and finite"),
+        ({"absence_windows": (AbsenceWindow(0, 1.0, -2.0),)},
+         "duration_s -2.0 must be positive and finite"),
+        ({"absence_windows": (AbsenceWindow(0, 1.0, math.nan),)},
+         "duration_s nan must be positive and finite"),
+        ({"absence_windows": (AbsenceWindow(0, 1.0, math.inf),)},
+         "duration_s inf must be positive and finite"),
     ])
     def test_bad_scene_rejected(self, kwargs, message):
         with pytest.raises(SimulatorError, match=message):

@@ -1,11 +1,13 @@
 """Detection-to-GT matching, target construction, pair sampling and the
 optimizer loop (loss decreases, updates follow plain SGD + decoupled decay)."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuetrack import matching
+from cuetrack import bench, matching
 from cuetrack.autodiff import AutodiffError, ParameterStore
 from cuetrack.geometry import Box, GeometryError
 from cuetrack.model import AssocModel, ModelConfig
@@ -158,6 +160,29 @@ class TestTrainLoop:
             runs.append({k: v.copy() for k, v in asm.store.entries.items()})
         for name in runs[0]:
             assert np.array_equal(runs[0][name], runs[1][name]), name
+
+    def test_float64_training_pin(self):
+        # sha256 of the loss history and of every parameter's float64
+        # bytes after 12 steps of the desk model on benchmark sequences;
+        # the criterion-8 checkpoint is float32 and can hide a one-ulp
+        # change in the training arithmetic
+        data = generate_dataset(bench.benchmark_scene(bench.TRAIN_SEED), 16,
+                                bench.TRAIN_SEED)
+        asm = AssocModel(ModelConfig(descriptor_dim=32, semantic_dim=16,
+                                     appearance_dim=16, seed=bench.MODEL_SEED))
+        history = train(data, TrainConfig(epochs=3, batch_pairs=4,
+                                          seed=bench.OPT_SEED),
+                        asm, bench.IMAGE_H, bench.IMAGE_W)
+        losses = np.array([loss for _, _, loss in history])
+        params = hashlib.sha256()
+        for name in asm.store.names():
+            params.update(name.encode())
+            params.update(asm.store.entries[name].tobytes())
+        assert len(history) == 12
+        assert hashlib.sha256(losses.tobytes()).hexdigest() == (
+            "6a668d701218378633b18f57c186064a5bb8c1e142de337b13a339a45a7fdbbf")
+        assert params.hexdigest() == (
+            "fadb7b33d77e31b0f752ff61a4122798830f8dee08ee1f60d3d4b486eb444aff")
 
     def test_gt_only_mode_runs(self):
         data = generate_dataset(_tiny_scene(), 6, seed=11)
