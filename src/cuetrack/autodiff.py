@@ -7,7 +7,7 @@ topological order and accumulates gradients into leaf tensors.
 Only the primitives the association model needs are implemented:
 matmul, (broadcast) add, elementwise mul, scale, transpose, relu,
 row softmax, row/column log-sum-exp, group normalization, concat,
-column slicing, fill-from-scalar, exp and sum.
+column slicing, row splitting, fill-from-scalar, exp and sum.
 
 Two fused nodes replace the primitive chains the model runs most:
 ``multihead_attention`` (projections, per-head scaled dot-product
@@ -21,6 +21,15 @@ a floating-point sum, so another order rounds differently. Softmax and
 group-norm arithmetic has one copy, shared by the primitives and the
 fused nodes; it reduces with ``np.add.reduce`` and works in place, which
 are the same float operations as the method wrappers and the copies.
+
+A training pair runs both frames through each cue head in one pass:
+``linear_gn_relu`` and ``linear`` (the bare last layer, one node) take
+the row slices of the frames stacked in their input. Each product runs
+once per frame and each parameter gradient is summed per frame and then
+added, as a leaf adds two frames' gradients; only the row-wise work runs
+once on the stack. So every value and gradient is that of one pass per
+frame, bit for bit, while the tape holds one set of head nodes per pair.
+``split_rows`` then gives each frame its rows of the fused descriptor.
 
 A tensor's ``.grad`` is a copy of the first gradient it receives, and
 later ones are added into it in place; a gradient of another shape than
@@ -380,6 +389,27 @@ def concat_rows(tensors: Iterable[Tensor]) -> Tensor:
     return Tensor(out_data, parents=tuple(ts), backward=backward, name="concat_rows")
 
 
+def split_rows(a, blocks: tuple[slice, ...]) -> tuple[Tensor, ...]:
+    """The row blocks of ``a`` as tensors of their own, one node each.
+
+    A block's backward places its gradient in an array of ``a``'s shape
+    filled with -0.0, the one value that leaves every addend as it is,
+    signed zeros included; so ``a``'s gradient is its blocks' gradients,
+    bit for bit."""
+    a = _wrap(a)
+
+    def part(blk: slice) -> Tensor:
+        def backward(g):
+            full = np.full_like(a.data, -0.0)
+            full[blk] = g
+            a._accumulate(full)
+
+        return Tensor(a.data[blk], parents=(a,), backward=backward,
+                      name="split_rows")
+
+    return tuple(part(blk) for blk in blocks)
+
+
 def slice_cols(a, start: int, stop: int) -> Tensor:
     a = _wrap(a)
 
@@ -426,12 +456,53 @@ def mean_rows(a) -> Tensor:
     return Tensor(out_data, parents=(a,), backward=backward, name="mean_rows")
 
 
+# -- row blocks: frames stacked in one array ---------------------------------
+
+def _rows_matmul(a: np.ndarray, B: np.ndarray,
+                 blocks: tuple[slice, ...] | None) -> np.ndarray:
+    """``a @ B``, one product per row block of ``a``. A product over
+    stacked frames rounds differently from its frames' products at many
+    sizes (a one-row block runs as a gemv, and past about 18 rows the
+    gemm blocks its work differently), so a stack is multiplied frame by
+    frame."""
+    if blocks is None:
+        return a @ B
+    out = np.empty((a.shape[0], B.shape[1]))
+    for blk in blocks:
+        np.matmul(a[blk], B, out=out[blk])
+    return out
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray,
+                 blocks: tuple[slice, ...] | None) -> np.ndarray:
+    """``x.T @ g``, one product per row block, added in block order."""
+    if blocks is None:
+        return x.T @ g
+    out = x[blocks[0]].T @ g[blocks[0]]
+    for blk in blocks[1:]:
+        out += x[blk].T @ g[blk]
+    return out
+
+
+def _column_sum(a: np.ndarray, blocks: tuple[slice, ...] | None) -> np.ndarray:
+    """Column sums of ``a``, one ``add.reduce`` per row block, added in
+    block order: each frame's node would give its parameter that block's
+    sum, and a leaf adds the frames' terms."""
+    if blocks is None:
+        return np.add.reduce(a, axis=0)
+    out = np.add.reduce(a[blocks[0]], axis=0)
+    for blk in blocks[1:]:
+        out += np.add.reduce(a[blk], axis=0)
+    return out
+
+
 def _group_norm(a: np.ndarray, gamma: Tensor, beta: Tensor,
-                num_groups: int | None, eps: float):
+                num_groups: int | None, eps: float,
+                blocks: tuple[slice, ...] | None = None):
     """Group normalization of the rows of array ``a``, scaled and shifted
     by ``gamma`` and ``beta``. Returns the result and its backward, which
-    takes the upstream gradient, accumulates gamma's and beta's, and
-    returns the gradient of ``a``.
+    takes the upstream gradient, accumulates gamma's and beta's (summed
+    per row block of ``blocks``), and returns the gradient of ``a``.
 
     The deviations from the group mean give both the variance, with the
     arithmetic of ``var``, and the standardized values.
@@ -457,8 +528,8 @@ def _group_norm(a: np.ndarray, gamma: Tensor, beta: Tensor,
     g_row = gamma.data.reshape(1, c)
 
     def backward(g):
-        gamma._accumulate(np.add.reduce(g * xhat, axis=0).reshape(gamma.data.shape))
-        beta._accumulate(np.add.reduce(g, axis=0).reshape(beta.data.shape))
+        gamma._accumulate(_column_sum(g * xhat, blocks).reshape(gamma.data.shape))
+        beta._accumulate(_column_sum(g, blocks).reshape(beta.data.shape))
         dxhat = (g * g_row).reshape(n, num_groups, gw)
         # standard normalization backward per group; dev is xhat by group
         dx = inv / gw * (gw * dxhat
@@ -491,22 +562,48 @@ def group_norm(x, gamma, beta, num_groups: int | None = None, eps: float = 1e-5)
 
 # -- fused nodes ---------------------------------------------------------
 
-def linear_gn_relu(x, W: Tensor, b: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """``relu(group_norm(add(matmul(x, W), b), gamma, beta))`` as one node:
-    a hidden MLP layer, with group_norm's default groups."""
+def linear(x, W: Tensor, b: Tensor,
+           blocks: tuple[slice, ...] | None = None) -> Tensor:
+    """``add(matmul(x, W), b)`` as one node. Given ``blocks``, the row
+    slices of frames stacked in ``x``, each product runs once per frame and
+    the bias gradient is summed per frame, so every value and gradient is
+    that of one composition per frame, bit for bit."""
     x = _wrap(x)
-    h = x.data @ W.data
+    out = _rows_matmul(x.data, W.data, blocks)
+    out += b.data
+
+    def backward(g):
+        b._accumulate(_column_sum(g, blocks).reshape(b.data.shape))
+        if x.takes_grad():
+            x._accumulate(_rows_matmul(g, W.data.T, blocks))
+        W._accumulate(_weight_grad(x.data, g, blocks))
+
+    return Tensor(out, parents=(x, W, b), backward=backward, name="linear")
+
+
+def linear_gn_relu(x, W: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
+                   blocks: tuple[slice, ...] | None = None) -> Tensor:
+    """``relu(group_norm(add(matmul(x, W), b), gamma, beta))`` as one node:
+    a hidden MLP layer, with group_norm's default groups.
+
+    Given ``blocks``, the row slices of frames stacked in ``x``, each
+    product runs once per frame and each parameter gradient is summed per
+    frame; the bias add, group norm and ReLU work row by row, so they run
+    once on the stack. Every value and gradient is then that of one node
+    per frame, bit for bit."""
+    x = _wrap(x)
+    h = _rows_matmul(x.data, W.data, blocks)
     h += b.data
-    normed, norm_backward = _group_norm(h, gamma, beta, None, 1e-5)
+    normed, norm_backward = _group_norm(h, gamma, beta, None, 1e-5, blocks)
     mask = normed > 0
     normed *= mask
 
     def backward(g):
         ga = norm_backward(g * mask)
-        b._accumulate(np.add.reduce(ga, axis=0).reshape(b.data.shape))
+        b._accumulate(_column_sum(ga, blocks).reshape(b.data.shape))
         if x.takes_grad():
-            x._accumulate(ga @ W.data.T)
-        W._accumulate(x.data.T @ ga)
+            x._accumulate(_rows_matmul(ga, W.data.T, blocks))
+        W._accumulate(_weight_grad(x.data, ga, blocks))
 
     return Tensor(normed, parents=(x, W, b, gamma, beta), backward=backward,
                   name="linear_gn_relu")

@@ -57,16 +57,23 @@ def init_mlp(store: ParameterStore, prefix: str, in_w: int,
         in_w = out_w
 
 
-def mlp(leaves: dict[str, Tensor], prefix: str, x: Tensor, depth: int) -> Tensor:
+def mlp(leaves: dict[str, Tensor], prefix: str, x: Tensor, depth: int,
+        blocks: tuple[slice, ...] | None = None) -> Tensor:
     """Linear, then group norm and ReLU, on each of ``depth`` layers (one
-    ``linear_gn_relu`` node each); the last layer is bare."""
+    ``linear_gn_relu`` node each); the last layer is bare.
+
+    ``blocks``, the row slices of frames stacked in ``x``, runs the
+    frames in one pass with the values and gradients of one pass per
+    frame; the bare layer is then one ``linear`` node."""
     for i in range(depth):
         w, b, gamma, beta = _layer_names(prefix, i)
         if i < depth - 1:
             x = ad.linear_gn_relu(x, leaves[w], leaves[b], leaves[gamma],
-                                  leaves[beta])
-        else:
+                                  leaves[beta], blocks)
+        elif blocks is None:
             x = ad.add(ad.matmul(x, leaves[w]), leaves[b])
+        else:
+            x = ad.linear(x, leaves[w], leaves[b], blocks)
     return x
 
 
@@ -74,12 +81,14 @@ def init_head(spec: HeadSpec, store: ParameterStore) -> None:
     init_mlp(store, f"{spec.name}.l", spec.input_width, spec.widths)
 
 
-def head_forward(spec: HeadSpec, leaves: dict[str, Tensor], x: Tensor) -> Tensor:
-    """Run one head on an (N, input_width) batch of cue vectors."""
+def head_forward(spec: HeadSpec, leaves: dict[str, Tensor], x: Tensor,
+                 blocks: tuple[slice, ...] | None = None) -> Tensor:
+    """Run one head on an (N, input_width) batch of cue vectors, which may
+    stack several frames' rows (``blocks``, see ``mlp``)."""
     if x.data.ndim != 2 or x.data.shape[1] != spec.input_width:
         raise HeadError(
             f"head {spec.name!r} expects width {spec.input_width}, got {x.data.shape}")
-    return mlp(leaves, f"{spec.name}.l", x, len(spec.widths))
+    return mlp(leaves, f"{spec.name}.l", x, len(spec.widths), blocks)
 
 
 def location_input(nbox: NormalizedBox, confidence: float | None = None,

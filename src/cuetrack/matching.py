@@ -91,10 +91,14 @@ def sinkhorn_log(logits: Tensor, marginals_row: np.ndarray,
     Alternates row and column scaling against the marginals for exactly
     ``iters`` sweeps. On the tape, the loop runs in the log domain as one
     node. Its forward keeps each sweep's two matrices, ``L + v`` and ``L +
-    u``, with their log-sum-exps: about 0.2 MB per training pair at desk
-    size, released with the tape after the pair's backward. The backward
-    runs the sweeps in reverse over them, giving the gradient of the
-    unrolled row/column log-sum-exp chain with the same arithmetic.
+    u``, with their log-sum-exps, in preallocated stacks: about 0.2 MB per
+    training pair at desk size. The backward turns the matrices into their
+    softmax weights in place, with one ``exp`` call per kind over the whole
+    stack, runs the sweeps in reverse over them, and sums the logits'
+    gradient in one reduction over the stack, giving the gradient of the
+    unrolled row/column log-sum-exp chain with the same arithmetic. That
+    spends the stack, so the backward can run only once: a second
+    ``.backward()`` through the node raises ``MatchingError``.
 
     Under ``autodiff.no_grad`` (no gradient can be asked for) the sweeps
     run in the exp domain instead, as matrix scaling: ``K = exp(L - max
@@ -123,42 +127,55 @@ def sinkhorn_log(logits: Tensor, marginals_row: np.ndarray,
             return Tensor(log_plan, name="sinkhorn_log")
     log_mu = np.log(mu).reshape(-1, 1)
     log_nu = np.log(nu).reshape(1, -1)
-    # each sweep keeps a = L + v, its row log-sum-exp r, b = L + u and its
-    # column log-sum-exp c for the backward; ``maximum.reduce`` and
-    # ``add.reduce`` are ``max`` and ``sum`` without the method wrappers
-    sweeps = []
+    # the sweeps are kept last first, the order of the backward: sweep
+    # iters - 1 - i keeps b = L + u and a = L + v in slabs 1 + 2i and
+    # 2 + 2i of ``terms`` (slab 0 is for the upstream gradient) and their
+    # log-sum-exps c and r in slab i of ``cs`` and ``rs``.
+    # ``maximum.reduce`` and ``add.reduce`` are ``max`` and ``sum``
+    # without the method wrappers
+    terms = np.empty((2 * iters + 1,) + L.shape)
+    rs = np.empty((iters, mu.size, 1))
+    cs = np.empty((iters, 1, nu.size))
     v = np.zeros((1, nu.size))
     e = np.empty_like(L)
-    for _ in range(iters):
-        a = L + v
+    for i in reversed(range(iters)):
+        a = np.add(L, v, out=terms[2 + 2 * i])
         m = np.maximum.reduce(a, axis=1, keepdims=True)
         np.exp(np.subtract(a, m, out=e), out=e)
-        r = np.log(np.add.reduce(e, axis=1, keepdims=True))
+        r = np.log(np.add.reduce(e, axis=1, keepdims=True), out=rs[i])
         r += m
-        b = L + (log_mu - r)
+        b = np.add(L, log_mu - r, out=terms[1 + 2 * i])
         m = np.maximum.reduce(b, axis=0, keepdims=True)
         np.exp(np.subtract(b, m, out=e), out=e)
-        c = np.log(np.add.reduce(e, axis=0, keepdims=True))
+        c = np.log(np.add.reduce(e, axis=0, keepdims=True), out=cs[i])
         c += m
         v = log_nu - c
-        sweeps.append((a, r, b, c))
 
     def backward(g):
-        gL = g.copy()
+        # every sweep's exp(b - c) and exp(a - r), one call each, in place:
+        # that spends the stack, so the node lets go of it
+        nonlocal terms
+        stack, terms = terms, None
+        if stack is None:
+            raise MatchingError("sinkhorn_log's backward ran a second time; "
+                                "its first run consumed the kept sweeps")
+        gbs, gas = stack[1::2], stack[2::2]
+        np.exp(np.subtract(gbs, cs, out=gbs), out=gbs)
+        np.exp(np.subtract(gas, rs, out=gas), out=gas)
         gu = np.add.reduce(g, axis=1, keepdims=True)
         gv = np.add.reduce(g, axis=0, keepdims=True)
-        for k in reversed(range(iters)):
-            a_k, r_k, b_k, c_k = sweeps[k]
-            gb = np.exp(np.subtract(b_k, c_k, out=e), out=e)
+        for i, (gb, ga) in enumerate(zip(gbs, gas)):
             gb *= gv * -1.0
-            gL += gb
             gb_rows = np.add.reduce(gb, axis=1, keepdims=True)
             # only the last sweep's u also feeds the output directly
-            gu = gu + gb_rows if k == iters - 1 else gb_rows
-            ga = np.exp(np.subtract(a_k, r_k, out=e), out=e)
+            gu = gu + gb_rows if i == 0 else gb_rows
             ga *= gu * -1.0
-            gL += ga
             gv = np.add.reduce(ga, axis=0, keepdims=True)
+        # the logits' gradient is g plus each sweep's two terms, last sweep
+        # first, added slab after slab: a reduction over axis 0 adds whole
+        # slabs in order, and starting it from -0.0 keeps g's signed zeros
+        stack[0] = g
+        gL = np.add.reduce(stack, axis=0, initial=-0.0)
         logits._accumulate(gL)
 
     return Tensor(b + v, parents=(logits,), backward=backward,

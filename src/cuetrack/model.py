@@ -147,13 +147,21 @@ class AssocModel:
         return inputs
 
     def embed(self, dets: list[Detection], image_h: float, image_w: float,
-              leaves: dict[str, Tensor]) -> Tensor:
+              leaves: dict[str, Tensor],
+              blocks: tuple[slice, ...] | None = None) -> Tensor:
         """The fused descriptor: the sum of the enabled cues' head
-        outputs, semantic, then location, then appearance."""
-        if not dets:
+        outputs, semantic, then location, then appearance. ``blocks``
+        slices ``dets`` into frames that run through each head in one
+        pass, with the values and gradients of one pass per frame (see
+        ``heads.mlp``)."""
+        if not dets or blocks and any(blk.start == blk.stop for blk in blocks):
             raise ModelError("cannot embed an empty detection list")
+        # one frame calls each head as head_forward(spec, leaves, x), the
+        # form that wrappers of the one-frame path (the tracker's head
+        # count in tests/test_tracker.py) take
+        block_args = () if blocks is None else (blocks,)
         return functools.reduce(ad.add, (
-            heads.head_forward(spec, leaves, ad.constant(x))
+            heads.head_forward(spec, leaves, ad.constant(x), *block_args)
             for spec, x in zip(self.head_specs,
                                self.cue_inputs(dets, image_h, image_w))))
 
@@ -179,9 +187,14 @@ class AssocModel:
                      image_h: float, image_w: float,
                      marginals: tuple[np.ndarray, np.ndarray] | None = None,
                      leaves: dict[str, Tensor] | None = None) -> Tensor:
-        """Full pipeline on one frame pair; returns the log transport plan."""
+        """Full pipeline on one frame pair; returns the log transport plan.
+        Both frames go through the cue heads in one pass, whose fused
+        descriptor is then split into the frames' rows."""
         if leaves is None:
             leaves = self.store.leaves()
-        key_fused = self.embed(key_dets, image_h, image_w, leaves)
-        ref_fused = self.embed(ref_dets, image_h, image_w, leaves)
+        m = len(key_dets)
+        blocks = (slice(0, m), slice(m, m + len(ref_dets)))
+        fused = self.embed([*key_dets, *ref_dets], image_h, image_w, leaves,
+                           blocks)
+        key_fused, ref_fused = ad.split_rows(fused, blocks)
         return self.pair_log_plan(key_fused, ref_fused, leaves, marginals)

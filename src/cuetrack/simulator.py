@@ -164,7 +164,10 @@ class SceneConfig:
 
     @property
     def num_frames(self) -> int:
-        return int(round(self.duration_s * self.fps))
+        """``duration_s * fps`` to the nearest whole frame, a half frame
+        rounding up: one rule for every duration, where ``round`` would
+        take halves to the even count."""
+        return math.floor(self.duration_s * self.fps + 0.5)
 
 
 def _hash_rng(*parts) -> np.random.Generator:

@@ -100,14 +100,18 @@ def build_target(key_ids: list[int | None],
 
 def sample_pair(sequence: list[FrameSample], max_interval_s: float,
                 rng: np.random.Generator) -> tuple[FrameSample, FrameSample]:
-    """Uniform ordered pair of frames with 0 < |dt| <= max_interval_s."""
-    eligible = [(i, j) for i in range(len(sequence)) for j in range(len(sequence))
-                if i != j and 0 < abs(sequence[i].time_s - sequence[j].time_s)
-                <= max_interval_s]
-    if not eligible:
+    """Uniform ordered pair of frames with 0 < |dt| <= max_interval_s.
+
+    The eligible pairs are listed in row-major order of the |dt| matrix,
+    the order of a loop over i and then j, so a seed draws the same pair
+    as such a loop's list would give."""
+    times = np.array([fr.time_s for fr in sequence], dtype=np.float64)
+    dt = np.abs(times[:, None] - times[None, :])
+    rows, cols = np.nonzero((dt > 0) & (dt <= max_interval_s))
+    if not rows.size:
         raise TrainingError("no eligible frame pair within the interval")
-    i, j = eligible[rng.integers(len(eligible))]
-    return sequence[i], sequence[j]
+    k = rng.integers(rows.size)
+    return sequence[rows[k]], sequence[cols[k]]
 
 
 def _pair_loss(asm: AssocModel, key: FrameSample, ref: FrameSample,

@@ -17,7 +17,7 @@ from cuetrack.autodiff import (AutodiffError, ParameterStore, Tensor, add,
                                logsumexp_cols, logsumexp_rows, matmul,
                                mean_rows, mul, no_grad, recording, relu,
                                save_checkpoint, scale, slice_cols,
-                               softmax_rows, total, transpose)
+                               softmax_rows, split_rows, total, transpose)
 
 RNG = np.random.default_rng(12345)
 
@@ -189,6 +189,20 @@ class TestTapeMechanics:
         assert x.grad is None and target.grad is None and eye.grad is None
         assert all(p.grad is not None for p in params)
         assert hidden.grad is not None  # an interior node keeps its gradient
+
+    def test_split_rows_hands_back_every_bit(self):
+        # blocks' gradients of +0.0 and -0.0 reach the stacked tensor as
+        # they are: the rest of each block's full-size gradient is -0.0
+        a = Tensor(RNG.normal(size=(6, 3)), requires_grad=True)
+        blocks = (slice(0, 1), slice(1, 4), slice(4, 6))
+        parts = split_rows(a, blocks)
+        for part, blk in zip(parts, blocks):
+            assert part.data.tobytes() == a.data[blk].tobytes()
+        g = RNG.normal(size=(6, 3))
+        g[RNG.random((6, 3)) < 0.5] = -0.0
+        g[0, 0] = g[5, 2] = 0.0
+        concat_rows(parts).backward(g)
+        assert a.grad.tobytes() == g.tobytes()
 
     def test_deep_chain_does_not_recurse(self):
         a = Tensor(np.array([[1.0]]), requires_grad=True)

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from cuetrack import autodiff as ad
-from cuetrack import bench, heads, simulator, stog, training
+from cuetrack import bench, heads, matching, simulator, stog, training
 from cuetrack.autodiff import AutodiffError, Tensor, constant
+from cuetrack.geometry import Box
 from cuetrack.model import AssocModel, ModelConfig
+from cuetrack.simulator import Detection
 
 RNG = np.random.default_rng(2024)
 
@@ -43,7 +45,11 @@ def ref_stog_attention(queries_from, keys_values_from, leaves, prefix,
                          num_heads)
 
 
-def ref_mlp(leaves, prefix, x, depth):
+def ref_mlp(leaves, prefix, x, depth, blocks=None):
+    if blocks is not None:
+        # frames stacked in x: one composition per frame, stacked again
+        return ad.concat_rows([ref_mlp(leaves, prefix, part, depth)
+                               for part in ad.split_rows(x, blocks)])
     for i in range(depth):
         w, b, gamma, beta = heads._layer_names(prefix, i)
         if i < depth - 1:
@@ -358,6 +364,65 @@ class TestFrozenArithmetic:
         assert np.array_equal(ad.softmax_rows(constant(x)).data, frozen_softmax(x))
 
 
+def _frame_dets(rows, rng):
+    """A desk frame of ``rows`` detections with random boxes, scores and
+    cue vectors."""
+    out = []
+    for _ in range(rows):
+        x0, y0 = rng.uniform(0.0, 560.0), rng.uniform(0.0, 400.0)
+        box = Box(x0, y0, x0 + rng.uniform(4.0, 80.0), y0 + rng.uniform(4.0, 80.0))
+        out.append(Detection(box, float(rng.uniform(0.3, 1.0)),
+                             rng.normal(size=16), rng.normal(size=16), 0))
+    return out
+
+
+class TestTwoFramePass:
+    """``forward_pair`` runs both frames through each cue head in one pass.
+    Its fused descriptors, loss and every parameter gradient must be those
+    of one pass per frame, byte for byte, at every pair of frame sizes:
+    a stacked product rounds differently past 18 rows and on one-row
+    blocks, so the pass multiplies frame by frame."""
+
+    @pytest.mark.parametrize("ref_rows", FRAME_ROWS)
+    @pytest.mark.parametrize("key_rows", FRAME_ROWS)
+    def test_matches_one_pass_per_frame(self, key_rows, ref_rows, monkeypatch):
+        rng = np.random.default_rng(key_rows * 100 + ref_rows)
+        asm = AssocModel(ModelConfig(seed=3))
+        key, ref = _frame_dets(key_rows, rng), _frame_dets(ref_rows, rng)
+        # ids that repeat and go missing: matches, both dustbins, masked rows
+        target = training.build_target(
+            [i % 4 if i % 5 else None for i in range(key_rows)],
+            [i % 3 for i in range(ref_rows)])
+        marginals = (target.row_marginals, target.col_marginals)
+
+        def one_pass_per_frame(leaves):
+            fused = [asm.embed(dets, bench.IMAGE_H, bench.IMAGE_W, leaves)
+                     for dets in (key, ref)]
+            return asm.pair_log_plan(*fused, leaves, marginals)
+
+        def two_frame_pass(leaves):
+            return asm.forward_pair(key, ref, bench.IMAGE_H, bench.IMAGE_W,
+                                    marginals, leaves)
+
+        fused = []
+        pair_log_plan = asm.pair_log_plan
+
+        def recording(key_fused, ref_fused, *args):
+            fused.append((key_fused, ref_fused))
+            return pair_log_plan(key_fused, ref_fused, *args)
+
+        monkeypatch.setattr(asm, "pair_log_plan", recording)
+        results = []
+        for run in (one_pass_per_frame, two_frame_pass):
+            leaves = asm.store.leaves()
+            loss = matching.association_loss(run(leaves), target.values)
+            loss.backward(np.ones((1, 1)))
+            results.append([f.data.tobytes() for f in fused[-1]] + [loss.data.tobytes()]
+                           + [leaves[name].grad.tobytes() for name in sorted(leaves)])
+        assert len(results[1]) == len(results[0]) == 3 + len(asm.store.entries)
+        assert results[1] == results[0]
+
+
 class TestModelEquivalence:
     def test_train_step_parameters_equal_the_compositions(self, monkeypatch):
         data = simulator.generate_dataset(bench.benchmark_scene(5), 2, 5)
@@ -401,3 +466,25 @@ class TestModelEquivalence:
         assert len(built) == 71
         assert built.count("multihead_attention") == 8
         assert built.count("linear_gn_relu") == 16
+
+    def test_forward_pair_tape_size(self, monkeypatch):
+        # the 71 nodes of pair_log_plan, plus one head pass over both
+        # frames: per head a constant input, 4 hidden layers and 1 linear
+        # node, then 2 adds summing the heads and the 2 frames' rows
+        asm = AssocModel(ModelConfig())
+        rng = np.random.default_rng(4)
+        key, ref = _frame_dets(5, rng), _frame_dets(7, rng)
+        leaves = asm.store.leaves()
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("name", ""))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        asm.forward_pair(key, ref, bench.IMAGE_H, bench.IMAGE_W, leaves=leaves)
+        assert len(built) == 71 + 3 * 6 + 2 + 2
+        assert built.count("linear_gn_relu") == 16 + 3 * 4
+        assert built.count("linear") == 3
+        assert built.count("split_rows") == 2

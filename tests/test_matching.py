@@ -265,6 +265,41 @@ class TestFrozenSinkhorn:
             # the node's own upstream gradient is left as it was
             assert lp.grad.tobytes() == g.tobytes(), where
 
+    # a 1x1 plan's stack of gradient terms is one run of elements, which
+    # add.reduce sums pairwise (each term there is +-g or a zero, so any
+    # order gives its bits); a 1xn or nx1 plan's slabs are one row or one
+    # column; an upstream gradient of -0.0 keeps its sign only when the
+    # terms' sum starts from -0.0
+    @pytest.mark.parametrize("upstream", ["random", "negative zero", "zero"])
+    @pytest.mark.parametrize("m, n, iters", [(1, 1, 1), (1, 1, 100), (1, 2, 7),
+                                             (1, 24, 100), (2, 1, 7),
+                                             (24, 1, 100), (11, 11, 100)])
+    def test_edge_plans_byte_for_byte(self, m, n, iters, upstream):
+        rng = np.random.default_rng(m * 1000 + n * 10 + iters)
+        L = rng.normal(size=(m, n)) * 3.0
+        mu, nu = rng.uniform(0.2, 3.0, m), rng.uniform(0.2, 3.0, n)
+        nu *= mu.sum() / nu.sum()
+        g = {"random": rng.normal(size=(m, n)),
+             "negative zero": np.full((m, n), -0.0),
+             "zero": np.zeros((m, n))}[upstream]
+        expect, backward = frozen_sinkhorn_log(L, mu, nu, iters)
+        x = Tensor(L.copy(), requires_grad=True)
+        lp = sinkhorn_log(x, mu, nu, iters)
+        lp.backward(g)
+        assert lp.data.tobytes() == expect.tobytes()
+        assert x.grad.tobytes() == backward(g).tobytes()
+        assert lp.grad.tobytes() == g.tobytes()
+
+    def test_second_backward_raises(self):
+        # the first backward spends the kept sweeps; a second would read
+        # softmax weights as logits
+        x = Tensor(np.array([[0.5, -1.0], [2.0, 0.0]]), requires_grad=True)
+        lp = sinkhorn_log(x, np.ones(2), np.ones(2), 5)
+        loss = total(lp)
+        loss.backward()
+        with pytest.raises(MatchingError, match="second time"):
+            loss.backward()
+
     @pytest.mark.parametrize("m, n, iters", [(1, 2, 1), (4, 5, 100),
                                              (24, 17, 119), (11, 11, 60)])
     def test_log_fallback_under_no_grad_byte_for_byte(self, m, n, iters):

@@ -344,6 +344,13 @@ class TestSceneChecks:
         with pytest.raises(SimulatorError, match=message):
             _clean_scene(**kwargs)
 
+    @pytest.mark.parametrize("duration_s, frames", [
+        (0.25, 1), (0.75, 2), (1.25, 3), (1.75, 4),
+        # the pinned scenes
+        (6.0, 12), (12.0, 24), (20.0, 40), (24.0, 48)])
+    def test_half_frame_durations_round_up(self, duration_s, frames):
+        assert _clean_scene(duration_s=duration_s, fps=2.0).num_frames == frames
+
     def test_boundary_values_accepted(self):
         NoiseConfig(0.0, 0.0, 0.0, 1.0, 0.0)
         ClassProfile(0, speed_px_per_s=0.0, arc_rate=0.0, size_px=(1e-3, 1e-3))

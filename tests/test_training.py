@@ -11,8 +11,9 @@ from cuetrack import bench, matching
 from cuetrack.autodiff import AutodiffError, ParameterStore
 from cuetrack.geometry import Box, GeometryError
 from cuetrack.model import AssocModel, ModelConfig
-from cuetrack.simulator import (ClassProfile, NoiseConfig, SceneConfig,
-                                generate_dataset, read_dataset, write_dataset)
+from cuetrack.simulator import (ClassProfile, FrameSample, NoiseConfig,
+                                SceneConfig, generate_dataset, read_dataset,
+                                write_dataset)
 from cuetrack.training import (TrainConfig, TrainingError, build_target,
                                dat_match, sample_pair, train,
                                write_loss_history)
@@ -54,6 +55,12 @@ class TestDatMatch:
         gt = [(5, Box(0, 0, 10, 10))]
         dets = [Box(0, 0, 10, 10), Box(0.5, 0, 10.5, 10)]
         assert dat_match(dets, gt, 0.7) == [5, 5]
+
+    def test_touching_and_zero_area_boxes_match_nothing(self):
+        gt = [(1, Box(0, 0, 10, 10)), (2, Box(5, 5, 5, 9))]
+        dets = [Box(10, 0, 20, 10), Box(0, 10, 10, 20), Box(5, 5, 5, 9),
+                Box(3, 3, 3, 3)]
+        assert dat_match(dets, gt, 0.1) == [None] * 4
 
     def test_bad_threshold(self):
         with pytest.raises(TrainingError):
@@ -116,6 +123,41 @@ class TestSamplePair:
             sample_pair(seq[:1], 3.0, np.random.default_rng(0))
         with pytest.raises(TrainingError):
             sample_pair(seq, 0.1, np.random.default_rng(0))
+
+    @staticmethod
+    def _enumerated_pair(sequence, max_interval_s, rng):
+        """``sample_pair`` as it was written, with a list comprehension."""
+        eligible = [(i, j) for i in range(len(sequence))
+                    for j in range(len(sequence))
+                    if i != j and 0 < abs(sequence[i].time_s - sequence[j].time_s)
+                    <= max_interval_s]
+        if not eligible:
+            raise TrainingError("no eligible frame pair within the interval")
+        i, j = eligible[rng.integers(len(eligible))]
+        return sequence[i], sequence[j]
+
+    @pytest.mark.parametrize("times", [
+        "random", "repeated", [0.0, 0.5, 1.0, 1.5, 2.0, 3.5], [0.0, 1.5, 1.5, 3.0]])
+    def test_draws_the_enumerated_pair(self, times):
+        # gaps of exactly max_interval_s = 1.5 are eligible; a repeated
+        # time gives a gap of 0, which is not
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            if times == "random":
+                ts = np.sort(rng.uniform(0.0, 6.0, size=rng.integers(1, 14)))
+            elif times == "repeated":
+                ts = rng.integers(0, 5, size=rng.integers(1, 14)) * 0.75
+            else:
+                ts = times
+            seq = [FrameSample(i, float(t), []) for i, t in enumerate(ts)]
+            draws = []
+            for fn in (sample_pair, self._enumerated_pair):
+                rng = np.random.default_rng(seed)
+                try:
+                    draws.append([fn(seq, 1.5, rng) for _ in range(5)])
+                except TrainingError:
+                    draws.append(None)
+            assert draws[0] == draws[1], (times, seed)
 
     @given(st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
