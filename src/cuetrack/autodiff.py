@@ -9,27 +9,26 @@ matmul, (broadcast) add, elementwise mul, scale, transpose, relu,
 row softmax, row/column log-sum-exp, group normalization, concat,
 column slicing, row splitting, fill-from-scalar, exp and sum.
 
-Two fused nodes replace the primitive chains the model runs most:
+Three fused nodes replace the primitive chains the model runs most:
 ``multihead_attention`` (projections, per-head scaled dot-product
-softmax, merge and output projection) and ``linear_gn_relu`` (a hidden
-MLP layer). Each runs the numpy operations of its primitive composition
-in the same order, so its output and every input gradient are equal to
-the composition's bit for bit; the primitives remain the reference the
-tests compare them with. A fused backward calls ``_accumulate`` on its
-inputs in the order the composition's nodes would: a leaf's gradient is
-a floating-point sum, so another order rounds differently. Softmax and
-group-norm arithmetic has one copy, shared by the primitives and the
-fused nodes; it reduces with ``np.add.reduce`` and works in place, which
-are the same float operations as the method wrappers and the copies.
+softmax, merge and output projection), ``linear_gn_relu`` (a hidden MLP
+layer) and ``linear`` (the bare last one). Each runs the numpy
+operations of its composition in the same order, so its output and
+every input gradient are equal to the composition's bit for bit; the
+primitives remain the reference the tests compare them with. A fused
+backward calls ``_accumulate`` on its inputs in the order the
+composition's nodes would: a leaf's gradient is a floating-point sum, so
+another order rounds differently. Softmax and group-norm arithmetic has
+one copy, shared by the primitives and the fused nodes; it reduces with
+``np.add.reduce`` and works in place, the float operations of the method
+wrappers and the copies.
 
-A training pair runs both frames through each cue head in one pass:
-``linear_gn_relu`` and ``linear`` (the bare last layer, one node) take
-the row slices of the frames stacked in their input. Each product runs
-once per frame and each parameter gradient is summed per frame and then
-added, as a leaf adds two frames' gradients; only the row-wise work runs
-once on the stack. So every value and gradient is that of one pass per
-frame, bit for bit, while the tape holds one set of head nodes per pair.
-``split_rows`` then gives each frame its rows of the fused descriptor.
+The two MLP nodes take row blocks, the rows of each frame stacked in
+their input (one block when a frame runs alone). Each product runs once
+per block and each parameter gradient is summed per block, then added as
+a leaf adds two frames' gradients; the row-wise work runs once on the
+stack. So a training pair's two frames pass each cue head together with
+the values and gradients of one pass per frame, bit for bit.
 
 A tensor's ``.grad`` is a copy of the first gradient it receives, and
 later ones are added into it in place; a gradient of another shape than
@@ -459,14 +458,12 @@ def mean_rows(a) -> Tensor:
 # -- row blocks: frames stacked in one array ---------------------------------
 
 def _rows_matmul(a: np.ndarray, B: np.ndarray,
-                 blocks: tuple[slice, ...] | None) -> np.ndarray:
+                 blocks: tuple[slice, ...]) -> np.ndarray:
     """``a @ B``, one product per row block of ``a``. A product over
     stacked frames rounds differently from its frames' products at many
     sizes (a one-row block runs as a gemv, and past about 18 rows the
     gemm blocks its work differently), so a stack is multiplied frame by
     frame."""
-    if blocks is None:
-        return a @ B
     out = np.empty((a.shape[0], B.shape[1]))
     for blk in blocks:
         np.matmul(a[blk], B, out=out[blk])
@@ -474,31 +471,43 @@ def _rows_matmul(a: np.ndarray, B: np.ndarray,
 
 
 def _weight_grad(x: np.ndarray, g: np.ndarray,
-                 blocks: tuple[slice, ...] | None) -> np.ndarray:
+                 blocks: tuple[slice, ...]) -> np.ndarray:
     """``x.T @ g``, one product per row block, added in block order."""
-    if blocks is None:
-        return x.T @ g
     out = x[blocks[0]].T @ g[blocks[0]]
     for blk in blocks[1:]:
         out += x[blk].T @ g[blk]
     return out
 
 
-def _column_sum(a: np.ndarray, blocks: tuple[slice, ...] | None) -> np.ndarray:
+def _column_sum(a: np.ndarray, blocks: tuple[slice, ...]) -> np.ndarray:
     """Column sums of ``a``, one ``add.reduce`` per row block, added in
     block order: each frame's node would give its parameter that block's
     sum, and a leaf adds the frames' terms."""
-    if blocks is None:
-        return np.add.reduce(a, axis=0)
     out = np.add.reduce(a[blocks[0]], axis=0)
     for blk in blocks[1:]:
         out += np.add.reduce(a[blk], axis=0)
     return out
 
 
+def _affine(x: Tensor, W: Tensor, b: Tensor, blocks: tuple[slice, ...]):
+    """``x @ W + b``, one product per row block, and its backward, which
+    accumulates b's, x's and W's gradients in the order of the
+    ``add(matmul(x, W), b)`` tape."""
+    out = _rows_matmul(x.data, W.data, blocks)
+    out += b.data
+
+    def backward(g):
+        b._accumulate(_column_sum(g, blocks).reshape(b.data.shape))
+        if x.takes_grad():
+            x._accumulate(_rows_matmul(g, W.data.T, blocks))
+        W._accumulate(_weight_grad(x.data, g, blocks))
+
+    return out, backward
+
+
 def _group_norm(a: np.ndarray, gamma: Tensor, beta: Tensor,
                 num_groups: int | None, eps: float,
-                blocks: tuple[slice, ...] | None = None):
+                blocks: tuple[slice, ...]):
     """Group normalization of the rows of array ``a``, scaled and shifted
     by ``gamma`` and ``beta``. Returns the result and its backward, which
     takes the upstream gradient, accumulates gamma's and beta's (summed
@@ -552,7 +561,8 @@ def group_norm(x, gamma, beta, num_groups: int | None = None, eps: float = 1e-5)
     the gradient, so the default never produces them.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
-    out_data, norm_backward = _group_norm(x.data, gamma, beta, num_groups, eps)
+    out_data, norm_backward = _group_norm(x.data, gamma, beta, num_groups, eps,
+                                          (slice(0, x.data.shape[0]),))
 
     def backward(g):
         x._accumulate(norm_backward(g))
@@ -564,20 +574,12 @@ def group_norm(x, gamma, beta, num_groups: int | None = None, eps: float = 1e-5)
 
 def linear(x, W: Tensor, b: Tensor,
            blocks: tuple[slice, ...] | None = None) -> Tensor:
-    """``add(matmul(x, W), b)`` as one node. Given ``blocks``, the row
-    slices of frames stacked in ``x``, each product runs once per frame and
-    the bias gradient is summed per frame, so every value and gradient is
-    that of one composition per frame, bit for bit."""
+    """``add(matmul(x, W), b)`` as one node. ``blocks``, the row slices of
+    frames stacked in ``x`` (by default one frame), runs each product once
+    per frame and sums the bias gradient per frame, so every value and
+    gradient is that of one composition per frame, bit for bit."""
     x = _wrap(x)
-    out = _rows_matmul(x.data, W.data, blocks)
-    out += b.data
-
-    def backward(g):
-        b._accumulate(_column_sum(g, blocks).reshape(b.data.shape))
-        if x.takes_grad():
-            x._accumulate(_rows_matmul(g, W.data.T, blocks))
-        W._accumulate(_weight_grad(x.data, g, blocks))
-
+    out, backward = _affine(x, W, b, blocks or (slice(0, x.data.shape[0]),))
     return Tensor(out, parents=(x, W, b), backward=backward, name="linear")
 
 
@@ -586,24 +588,20 @@ def linear_gn_relu(x, W: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
     """``relu(group_norm(add(matmul(x, W), b), gamma, beta))`` as one node:
     a hidden MLP layer, with group_norm's default groups.
 
-    Given ``blocks``, the row slices of frames stacked in ``x``, each
-    product runs once per frame and each parameter gradient is summed per
-    frame; the bias add, group norm and ReLU work row by row, so they run
-    once on the stack. Every value and gradient is then that of one node
-    per frame, bit for bit."""
+    ``blocks``, the row slices of frames stacked in ``x`` (by default one
+    frame), runs each product once per frame and sums each parameter
+    gradient per frame; the bias add, group norm and ReLU work row by
+    row, so they run once on the stack. Every value and gradient is then
+    that of one node per frame, bit for bit."""
     x = _wrap(x)
-    h = _rows_matmul(x.data, W.data, blocks)
-    h += b.data
+    blocks = blocks or (slice(0, x.data.shape[0]),)
+    h, affine_backward = _affine(x, W, b, blocks)
     normed, norm_backward = _group_norm(h, gamma, beta, None, 1e-5, blocks)
     mask = normed > 0
     normed *= mask
 
     def backward(g):
-        ga = norm_backward(g * mask)
-        b._accumulate(_column_sum(ga, blocks).reshape(b.data.shape))
-        if x.takes_grad():
-            x._accumulate(_rows_matmul(ga, W.data.T, blocks))
-        W._accumulate(_weight_grad(x.data, ga, blocks))
+        affine_backward(norm_backward(g * mask))
 
     return Tensor(normed, parents=(x, W, b, gamma, beta), backward=backward,
                   name="linear_gn_relu")

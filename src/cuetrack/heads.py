@@ -60,21 +60,17 @@ def init_mlp(store: ParameterStore, prefix: str, in_w: int,
 def mlp(leaves: dict[str, Tensor], prefix: str, x: Tensor, depth: int,
         blocks: tuple[slice, ...] | None = None) -> Tensor:
     """Linear, then group norm and ReLU, on each of ``depth`` layers (one
-    ``linear_gn_relu`` node each); the last layer is bare.
+    ``linear_gn_relu`` node each); the last layer is one bare ``linear``.
 
-    ``blocks``, the row slices of frames stacked in ``x``, runs the
-    frames in one pass with the values and gradients of one pass per
-    frame; the bare layer is then one ``linear`` node."""
-    for i in range(depth):
+    ``blocks``, the row slices of frames stacked in ``x`` (by default one
+    frame), runs the frames in one pass with the values and gradients of
+    one pass per frame."""
+    for i in range(depth - 1):
         w, b, gamma, beta = _layer_names(prefix, i)
-        if i < depth - 1:
-            x = ad.linear_gn_relu(x, leaves[w], leaves[b], leaves[gamma],
-                                  leaves[beta], blocks)
-        elif blocks is None:
-            x = ad.add(ad.matmul(x, leaves[w]), leaves[b])
-        else:
-            x = ad.linear(x, leaves[w], leaves[b], blocks)
-    return x
+        x = ad.linear_gn_relu(x, leaves[w], leaves[b], leaves[gamma],
+                              leaves[beta], blocks)
+    w, b, _, _ = _layer_names(prefix, depth - 1)
+    return ad.linear(x, leaves[w], leaves[b], blocks)
 
 
 def init_head(spec: HeadSpec, store: ParameterStore) -> None:

@@ -40,6 +40,13 @@ class ModelConfig:
     def __post_init__(self):
         if not (self.use_semantic or self.use_location or self.use_appearance):
             raise ModelError("at least one cue must be enabled")
+        for name in ("num_heads", "descriptor_dim", "semantic_dim", "appearance_dim",
+                     "head_hidden", "num_layers", "sinkhorn_iters"):
+            if (size := getattr(self, name)) < 1:
+                raise ModelError(f"{name} must be at least 1, got {size}")
+        for i, size in enumerate(self.refine_widths or ()):
+            if size < 1:
+                raise ModelError(f"refine_widths[{i}] must be at least 1, got {size}")
         if self.descriptor_dim % self.num_heads != 0:
             raise ModelError(f"descriptor_dim {self.descriptor_dim} not "
                              f"divisible by {self.num_heads} heads")
@@ -153,15 +160,12 @@ class AssocModel:
         outputs, semantic, then location, then appearance. ``blocks``
         slices ``dets`` into frames that run through each head in one
         pass, with the values and gradients of one pass per frame (see
-        ``heads.mlp``)."""
-        if not dets or blocks and any(blk.start == blk.stop for blk in blocks):
+        ``heads.mlp``); by default ``dets`` is one frame."""
+        blocks = blocks or (slice(0, len(dets)),)
+        if any(blk.start == blk.stop for blk in blocks):
             raise ModelError("cannot embed an empty detection list")
-        # one frame calls each head as head_forward(spec, leaves, x), the
-        # form that wrappers of the one-frame path (the tracker's head
-        # count in tests/test_tracker.py) take
-        block_args = () if blocks is None else (blocks,)
         return functools.reduce(ad.add, (
-            heads.head_forward(spec, leaves, ad.constant(x), *block_args)
+            heads.head_forward(spec, leaves, ad.constant(x), blocks)
             for spec, x in zip(self.head_specs,
                                self.cue_inputs(dets, image_h, image_w))))
 

@@ -37,6 +37,10 @@ class TrainConfig:
             raise TrainingError("invalid training configuration")
         if self.max_interval_s <= 0:
             raise TrainingError("max_interval_s must be positive")
+        if not 0 < self.iou_match_thr <= 1:
+            raise TrainingError("iou_match_thr must be in (0, 1]")
+        if self.weight_decay < 0:
+            raise TrainingError("weight_decay must not be negative")
 
 
 @dataclass

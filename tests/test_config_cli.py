@@ -315,7 +315,19 @@ class TestCli:
                 ("model.refine_widths=16",
                  "model.refine_widths must be a list, got 16"),
                 ("model.refine_widths=abc",
-                 "model.refine_widths must be a list, got 'abc'")):
+                 "model.refine_widths must be a list, got 'abc'"),
+                ("model.num_heads=0", "model: num_heads must be at least 1, got 0"),
+                ("model.descriptor_dim=0",
+                 "model: descriptor_dim must be at least 1, got 0"),
+                ("model.head_hidden=0", "model: head_hidden must be at least 1, got 0"),
+                ("model.num_layers=-1", "model: num_layers must be at least 1, got -1"),
+                ("model.sinkhorn_iters=0",
+                 "model: sinkhorn_iters must be at least 1, got 0"),
+                ("model.refine_widths=[0,32]",
+                 "model: refine_widths[0] must be at least 1, got 0"),
+                ("train.iou_match_thr=1.5", "train: iou_match_thr must be in (0, 1]"),
+                ("train.iou_match_thr=0", "train: iou_match_thr must be in (0, 1]"),
+                ("train.weight_decay=-0.1", "train: weight_decay must not be negative")):
             assert main(["simulate", "--out", str(out),
                          "--set", override]) == 2, override
             assert message in capsys.readouterr().err

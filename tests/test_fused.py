@@ -34,6 +34,10 @@ def ref_attention(xq, xkv, Wq, Wk, Wv, Wo, num_heads):
     return ad.matmul(merged, Wo)
 
 
+def ref_linear(x, W, b):
+    return ad.add(ad.matmul(x, W), b)
+
+
 def ref_linear_gn_relu(x, W, b, gamma, beta):
     return ad.relu(ad.group_norm(ad.add(ad.matmul(x, W), b), gamma, beta))
 
@@ -56,7 +60,7 @@ def ref_mlp(leaves, prefix, x, depth, blocks=None):
             x = ref_linear_gn_relu(x, leaves[w], leaves[b], leaves[gamma],
                                    leaves[beta])
         else:
-            x = ad.add(ad.matmul(x, leaves[w]), leaves[b])
+            x = ref_linear(x, leaves[w], leaves[b])
     return x
 
 
@@ -364,6 +368,43 @@ class TestFrozenArithmetic:
         assert np.array_equal(ad.softmax_rows(constant(x)).data, frozen_softmax(x))
 
 
+class TestLinearEquivalence:
+    """``linear`` against ``add(matmul(x, W), b)``: the output and the x,
+    W and b gradients, byte for byte, for one frame and for two frames
+    stacked in one input."""
+
+    @staticmethod
+    def _assert_bytes_equal(fused, ref, arrays):
+        out, grads = _run(fused, arrays, lambda t: t)
+        ref_out, ref_grads = _run(ref, arrays, lambda t: t)
+        assert out.tobytes() == ref_out.tobytes()
+        for name, g, rg in zip("xWb", grads, ref_grads):
+            assert g.tobytes() == rg.tobytes(), name
+
+    @pytest.mark.parametrize("rows", FRAME_ROWS)
+    def test_matches_composition(self, rows):
+        rng = np.random.default_rng(rows)
+        arrays = [rng.normal(size=(rows, 64)), rng.normal(size=(64, 32)),
+                  rng.normal(size=(1, 32))]
+        self._assert_bytes_equal(ad.linear, ref_linear, arrays)
+
+    @pytest.mark.parametrize("ref_rows", FRAME_ROWS)
+    @pytest.mark.parametrize("key_rows", FRAME_ROWS)
+    def test_two_blocks_match_one_composition_per_frame(self, key_rows, ref_rows):
+        rng = np.random.default_rng(key_rows * 100 + ref_rows)
+        rows = key_rows + ref_rows
+        blocks = (slice(0, key_rows), slice(key_rows, rows))
+        arrays = [rng.normal(size=(rows, 64)), rng.normal(size=(64, 32)),
+                  rng.normal(size=(1, 32))]
+
+        def per_frame(x, W, b):
+            return ad.concat_rows([ref_linear(part, W, b)
+                                   for part in ad.split_rows(x, blocks)])
+
+        self._assert_bytes_equal(lambda x, W, b: ad.linear(x, W, b, blocks),
+                                 per_frame, arrays)
+
+
 def _frame_dets(rows, rng):
     """A desk frame of ``rows`` detections with random boxes, scores and
     cue vectors."""
@@ -447,9 +488,9 @@ class TestModelEquivalence:
 
     def test_pair_log_plan_tape_size(self, monkeypatch):
         # desk model: d=32, 4 layers, 4 heads; 7 temporal-encoding nodes,
-        # 14 per layer (2 attention, 2 refine MLPs of concat, 2 hidden
-        # layers, matmul, add and the residual add), 3 for the scores, 4
-        # for the dustbin and 1 Sinkhorn node
+        # 12 per layer (2 attention, 2 refine MLPs of concat, 2 hidden
+        # layers, linear and the residual add), 3 for the scores, 4 for
+        # the dustbin and 1 Sinkhorn node
         asm = AssocModel(ModelConfig())
         key = constant(RNG.normal(size=(5, 32)))
         ref = constant(RNG.normal(size=(7, 32)))
@@ -463,12 +504,13 @@ class TestModelEquivalence:
 
         monkeypatch.setattr(Tensor, "__init__", counting_init)
         asm.pair_log_plan(key, ref, leaves)
-        assert len(built) == 71
+        assert len(built) == 63
         assert built.count("multihead_attention") == 8
         assert built.count("linear_gn_relu") == 16
+        assert built.count("linear") == 8
 
     def test_forward_pair_tape_size(self, monkeypatch):
-        # the 71 nodes of pair_log_plan, plus one head pass over both
+        # the 63 nodes of pair_log_plan, plus one head pass over both
         # frames: per head a constant input, 4 hidden layers and 1 linear
         # node, then 2 adds summing the heads and the 2 frames' rows
         asm = AssocModel(ModelConfig())
@@ -484,7 +526,7 @@ class TestModelEquivalence:
 
         monkeypatch.setattr(Tensor, "__init__", counting_init)
         asm.forward_pair(key, ref, bench.IMAGE_H, bench.IMAGE_W, leaves=leaves)
-        assert len(built) == 71 + 3 * 6 + 2 + 2
+        assert len(built) == 63 + 3 * 6 + 2 + 2
         assert built.count("linear_gn_relu") == 16 + 3 * 4
-        assert built.count("linear") == 3
+        assert built.count("linear") == 8 + 3
         assert built.count("split_rows") == 2

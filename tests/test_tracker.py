@@ -293,9 +293,9 @@ class TestTrackSequenceEquivalence:
         calls = []
         original = heads.head_forward
 
-        def counting(spec, leaves, x):
+        def counting(spec, leaves, x, blocks):
             calls.append(spec.name)
-            return original(spec, leaves, x)
+            return original(spec, leaves, x, blocks)
 
         monkeypatch.setattr(heads, "head_forward", counting)
         frames = [(f.time_s, f.detections) for f in generate(_scene(seed=41))]
@@ -359,15 +359,15 @@ def _busy_frames(seed=5):
 
 
 class TestFiniteChecks:
-    # each STOG refine MLP ends in a bare linear: matmul, then add. The
-    # last layer's value reaches the plan; the first layer's meets the
-    # next attention's logits check first
+    # each STOG refine MLP ends in a bare linear layer, one linear node.
+    # The last layer's value reaches the plan; the first layer's meets
+    # the next attention's logits check first
     @pytest.mark.parametrize("name", ["stog.l1.mlp1.b", "stog.l0.mlp1.b"])
     def test_failing_frame_rerun_names_the_op(self, name):
         asm = _model()
         asm.store.entries[name][0, 3] = np.nan
         with pytest.raises(AutodiffError,
-                           match="^non-finite values entering tensor add$"):
+                           match="^non-finite values entering tensor linear$"):
             track_sequence(_busy_frames(), asm, TrackerConfig(), H, W)
 
     def test_fault_that_does_not_repeat_names_the_frame(self, monkeypatch):
