@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end demo on a small synthetic dataset: simulate -> train -> track ->
-# eval -> analyze. Uses reduced model/training sizes so it finishes in under
-# a minute. Outputs land in ./demo_out.
+# eval -> analyze. Uses reduced model/training sizes so it finishes in a few
+# seconds. Outputs land in ./demo_out.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -47,11 +47,12 @@ for bit at every shape the tests try (1 to 24 rows, 1, 2 and 4 heads,
 self- and cross-attention). The backward stays one loop over the heads:
 batching its products changed the rounding of the training gradients.
 
-Inside ``no_grad()`` no tape is recorded: every ``Tensor`` built there
-drops its parents and its backward closure, so nothing keeps the
-intermediate arrays alive and ``backward`` reaches no node. The forward
-arithmetic is the same. Code that never takes a gradient, the online
-tracker, runs under it.
+A tensor joins the tape only when a gradient can reach it: when one of
+its parents requires a gradient or has parents of its own. Otherwise it
+keeps neither parents nor backward closure, so nothing keeps the
+intermediate arrays alive and ``backward`` reaches no node. Code that
+never takes a gradient, the online tracker, runs over constant leaves
+and so records no tape, with the same forward arithmetic.
 
 A tensor's values are not checked for non-finite entries as it is built.
 Values are checked where they enter the model (the data, config and
@@ -79,25 +80,7 @@ class AutodiffError(Exception):
     pass
 
 
-_recording = True
 _checking = False
-
-
-def recording() -> bool:
-    """Whether new tensors join the tape (false inside ``no_grad``)."""
-    return _recording
-
-
-@contextlib.contextmanager
-def no_grad() -> Iterator[None]:
-    """A block in which new tensors record no parents and no backward
-    closure. Nests, and restores the previous state on exit or error."""
-    global _recording
-    saved, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = saved
 
 
 @contextlib.contextmanager
@@ -121,7 +104,8 @@ class Tensor:
     a ``.grad``, except a constant leaf (``requires_grad`` false and no
     parents): no gradient flows from it to a parameter, so no backward
     forms or stores one, and its ``.grad`` stays None.
-    A tensor built inside ``no_grad`` keeps neither parents nor closure.
+    A tensor none of whose parents requires a gradient or has parents
+    keeps neither parents nor closure: no gradient can reach it.
     Its values are checked for non-finite entries only inside ``checked``.
     """
 
@@ -134,9 +118,14 @@ class Tensor:
         if _checking and not np.isfinite(self.data).all():
             raise AutodiffError(f"non-finite values entering tensor {name or '<unnamed>'}")
         self.requires_grad = requires_grad
-        self.parents = parents if _recording else ()
+        for p in parents:
+            if p.requires_grad or p.parents:
+                break
+        else:
+            parents, backward = (), None
+        self.parents = parents
         self.grad: np.ndarray | None = None
-        self._backward = backward if _recording else None
+        self._backward = backward
         self.name = name
 
     @property
@@ -492,12 +481,17 @@ def _column_sum(a: np.ndarray, blocks: tuple[slice, ...]) -> np.ndarray:
 def _affine(x: Tensor, W: Tensor, b: Tensor, blocks: tuple[slice, ...]):
     """``x @ W + b``, one product per row block, and its backward, which
     accumulates b's, x's and W's gradients in the order of the
-    ``add(matmul(x, W), b)`` tape."""
+    ``add(matmul(x, W), b)`` tape. Each block's bias gradient is summed by
+    ``add``'s rule, which passes a one-row gradient through as it is,
+    signed zeros included."""
     out = _rows_matmul(x.data, W.data, blocks)
     out += b.data
 
     def backward(g):
-        b._accumulate(_column_sum(g, blocks).reshape(b.data.shape))
+        gb = _unbroadcast(g[blocks[0]], b.data.shape)
+        for blk in blocks[1:]:
+            gb = gb + _unbroadcast(g[blk], b.data.shape)
+        b._accumulate(gb)
         if x.takes_grad():
             x._accumulate(_rows_matmul(g, W.data.T, blocks))
         W._accumulate(_weight_grad(x.data, g, blocks))
@@ -647,7 +641,7 @@ def multihead_attention(xq, xkv, Wq: Tensor, Wk: Tensor, Wv: Tensor,
         # picks the BLAS path of the products below, and so their rounding
         dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
         for p, sl in zip(probs, cols):
-            g_out = g_merged if num_heads == 1 else g_merged[:, sl].copy()
+            g_out = g_merged[:, sl].copy()
             g_logits = _softmax_grad(g_out @ v[:, sl].T, p) * k_scale
             dq[:, sl] = g_logits @ k[:, sl]
             dk[:, sl] = (q[:, sl].T @ g_logits).T

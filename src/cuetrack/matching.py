@@ -4,11 +4,11 @@ assignment solver, which evaluation and the verification baselines call.
 
 Sinkhorn has two loops computing the same map. On the tape it runs in
 the log domain, as one node whose backward runs the sweeps in reverse
-over matrices its forward kept. Under
-``autodiff.no_grad`` it scales the matrix ``exp(L - max L)`` instead,
-which is several times faster, and falls back to the log loop when the
-logits or the scalings leave the range where the matrix loop is exact
-to rounding (see ``sinkhorn_log``).
+over matrices its forward kept. Over logits no gradient can reach (the
+tracker's, and ``sinkhorn``'s constants) it scales the matrix
+``exp(L - max L)`` instead, which is several times faster, and falls
+back to the log loop when the logits or the scalings leave the range
+where the matrix loop is exact to rounding (see ``sinkhorn_log``).
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def sinkhorn_log(logits: Tensor, marginals_row: np.ndarray,
     spends the stack, so the backward can run only once: a second
     ``.backward()`` through the node raises ``MatchingError``.
 
-    Under ``autodiff.no_grad`` (no gradient can be asked for) the sweeps
+    When no gradient can be asked for (``logits`` takes none) the sweeps
     run in the exp domain instead, as matrix scaling: ``K = exp(L - max
     L)``, then ``a = mu / (K @ b)`` and ``b = nu / (K.T @ a)`` from ``b =
     1``, giving the log-plan ``(L - max L) + log a + log b``. In exact
@@ -121,7 +121,7 @@ def sinkhorn_log(logits: Tensor, marginals_row: np.ndarray,
     if logits.data.shape != (mu.size, nu.size):
         raise MatchingError("logits shape does not match marginals")
     L = logits.data
-    if not ad.recording():
+    if not logits.takes_grad():
         log_plan = _sinkhorn_scaling(L, mu, nu, iters)
         if log_plan is not None:
             return Tensor(log_plan, name="sinkhorn_log")
@@ -184,8 +184,8 @@ def sinkhorn_log(logits: Tensor, marginals_row: np.ndarray,
 
 def sinkhorn(logits_aug: np.ndarray, marginals_row: np.ndarray,
              marginals_col: np.ndarray, iters: int = 100) -> TransportPlan:
-    """Plan values of the ``sinkhorn_log`` node over constant logits,
-    which must be finite."""
+    """Plan values of ``sinkhorn_log`` over constant logits, which must be
+    finite: its matrix-scaling loop, with the log loop as fallback."""
     logits_aug = np.asarray(logits_aug, dtype=np.float64)
     if not np.isfinite(logits_aug).all():
         raise MatchingError("logits must be finite")

@@ -140,8 +140,8 @@ def track_sequence(frames: list[tuple[float, list[Detection]]], asm: AssocModel,
     """Run the online loop; returns (frame, id, box, score, class) rows
     in frame-major, id-minor order. Each frame's detections are embedded
     once, for matching and for the memory. Tracking takes no gradient,
-    so the loop runs under ``autodiff.no_grad``: it records no tape, and
-    its Sinkhorn steps run in the exp domain.
+    so the parameters enter as constant leaves: no tensor records a
+    tape, and the Sinkhorn steps run in the exp domain.
 
     Each frame's fused descriptors and plan are checked for values that
     are not finite, two checks in place of one per tensor. A frame that
@@ -153,25 +153,25 @@ def track_sequence(frames: list[tuple[float, list[Detection]]], asm: AssocModel,
     next_id = 0
     rows = []
     prev_t = None
-    with ad.no_grad():
-        leaves = asm.store.leaves()
-        for frame_id, (time_s, detections) in enumerate(frames):
-            if prev_t is not None and time_s <= prev_t:
-                raise TrackerError("frames out of time order")
-            prev_t = time_s
-            args = (detections, memory, asm, cfg, next_id, leaves, image_h, image_w)
-            try:
-                fused, ids, next_id = _embed_and_match(*args)
-            except (TrackerError, ad.AutodiffError) as exc:
-                # the frame again, with every tensor checked: the
-                # AutodiffError names the first op that made the value,
-                # which the attention's own logits check may have met later
-                with ad.checked():
-                    _embed_and_match(*args)
-                raise TrackerError(f"frame {frame_id}: {exc}") from None
-            memory = update_memo(memory, ids, detections, time_s, cfg, fused)
-            for tid, det in sorted(zip(ids, detections), key=lambda p: p[0]):
-                rows.append((frame_id, tid, det.box, det.score, det.class_id))
+    leaves = {name: ad.constant(arr, name)
+              for name, arr in asm.store.entries.items()}
+    for frame_id, (time_s, detections) in enumerate(frames):
+        if prev_t is not None and time_s <= prev_t:
+            raise TrackerError("frames out of time order")
+        prev_t = time_s
+        args = (detections, memory, asm, cfg, next_id, leaves, image_h, image_w)
+        try:
+            fused, ids, next_id = _embed_and_match(*args)
+        except (TrackerError, ad.AutodiffError) as exc:
+            # the frame again, with every tensor checked: the
+            # AutodiffError names the first op that made the value,
+            # which the attention's own logits check may have met later
+            with ad.checked():
+                _embed_and_match(*args)
+            raise TrackerError(f"frame {frame_id}: {exc}") from None
+        memory = update_memo(memory, ids, detections, time_s, cfg, fused)
+        for tid, det in sorted(zip(ids, detections), key=lambda p: p[0]):
+            rows.append((frame_id, tid, det.box, det.score, det.class_id))
     return rows
 
 

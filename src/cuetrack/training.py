@@ -14,7 +14,7 @@ from . import matching
 from .autodiff import Tensor
 from .geometry import Box, iou
 from .model import AssocModel
-from .simulator import FrameSample
+from .simulator import Detection, FrameSample
 
 
 class TrainingError(Exception):
@@ -121,6 +121,9 @@ def sample_pair(sequence: list[FrameSample], max_interval_s: float,
 def _pair_loss(asm: AssocModel, key: FrameSample, ref: FrameSample,
                cfg: TrainConfig, image_h: float, image_w: float,
                leaves) -> Tensor | None:
+    if key.gt is None or ref.gt is None:
+        raise TrainingError("training frames require ground truth")
+
     def frame_dets(fr: FrameSample) -> list:
         return _gt_channel(fr) if cfg.gt_only else fr.detections
 
@@ -128,8 +131,6 @@ def _pair_loss(asm: AssocModel, key: FrameSample, ref: FrameSample,
     ref_dets = frame_dets(ref)
     if not key_dets or not ref_dets:
         return None
-    if key.gt is None or ref.gt is None:
-        raise TrainingError("training frames require ground truth")
     key_ids = dat_match([d.box for d in key_dets],
                         [(tid, box) for tid, box, _ in key.gt], cfg.iou_match_thr)
     ref_ids = dat_match([d.box for d in ref_dets],
@@ -163,10 +164,8 @@ def _gt_channel(fr: FrameSample) -> list:
     """Clean channel for GT-only training: boxes come verbatim from the
     annotation; cue vectors are borrowed from the best-overlapping
     detection. GT boxes with no overlapping detection are skipped."""
-    from .simulator import Detection
-
     out = []
-    for tid, box, cid in (fr.gt or []):
+    for tid, box, cid in fr.gt:
         best, best_iou = None, 0.0
         for d in fr.detections:
             v = iou(box, d.box)

@@ -1,6 +1,6 @@
 """Reverse-mode autodiff: primitive gradients vs finite differences,
-tape mechanics, the no-tape mode, the parameter store and checkpoint
-round-trips and checks."""
+tape mechanics, the rule for which tensors record a tape, the parameter
+store and checkpoint round-trips and checks."""
 import json
 import os
 import struct
@@ -15,7 +15,7 @@ from cuetrack.autodiff import (AutodiffError, ParameterStore, Tensor, add,
                                exp, fill, grad_check, group_norm,
                                linear_gn_relu, load_checkpoint,
                                logsumexp_cols, logsumexp_rows, matmul,
-                               mean_rows, mul, no_grad, recording, relu,
+                               mean_rows, mul, relu,
                                save_checkpoint, scale, slice_cols,
                                softmax_rows, split_rows, total, transpose)
 
@@ -224,37 +224,30 @@ class TestTapeMechanics:
 
 
 class TestNoGrad:
+    """A tensor records its parents only when a gradient can reach it:
+    when a parent requires a gradient or has parents of its own."""
+
     def test_records_no_parents_and_no_closure(self):
-        a = Tensor(np.array([[2.0]]), requires_grad=True)
-        with no_grad():
-            out = add(mul(a, a), a)
+        a = constant(np.array([[2.0]]))
+        out = add(mul(a, a), a)
         assert np.array_equal(out.data, [[6.0]])
         assert out.parents == () and out._backward is None
         out.backward()
         assert a.grad is None  # the tape ends at ``out``
 
     def test_finite_check_stays(self):
-        with no_grad(), checked(), np.errstate(over="ignore"), \
+        with checked(), np.errstate(over="ignore"), \
                 pytest.raises(AutodiffError, match="non-finite"):
             exp(constant(np.array([[1000.0]])))
 
-    def test_nests_and_restores(self):
-        assert recording()
-        with no_grad():
-            with no_grad():
-                assert not recording()
-            assert not recording()
-        assert recording()
+    def test_constant_beside_a_gradient_is_recorded(self):
         a = Tensor(np.array([[1.0]]), requires_grad=True)
-        assert scale(a, 2.0).parents == (a,)
-
-    def test_restores_after_an_exception(self):
-        with pytest.raises(ValueError), no_grad():
-            with pytest.raises(KeyError), no_grad():
-                raise KeyError("inner")
-            assert not recording()
-            raise ValueError("outer")
-        assert recording()
+        c = constant(np.array([[3.0]]))
+        inner = mul(c, a)
+        out = add(c, inner)
+        assert inner.parents == (c, a) and out.parents == (c, inner)
+        out.backward()
+        assert np.array_equal(a.grad, [[3.0]]) and c.grad is None
 
 
 class TestChecked:

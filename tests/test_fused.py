@@ -73,12 +73,17 @@ def _run(fn, arrays, call):
     return out.data, [leaf.grad for leaf in leaves]
 
 
+def _same_bits(a, b) -> bool:
+    """Equal shapes and bytes: ``array_equal`` holds -0.0 equal to +0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _assert_bit_equal(fused, ref, arrays, call):
     out, grads = _run(fused, arrays, call)
     ref_out, ref_grads = _run(ref, arrays, call)
-    assert np.array_equal(out, ref_out)
+    assert _same_bits(out, ref_out)
     for i, (g, rg) in enumerate(zip(grads, ref_grads)):
-        assert g is not None and np.array_equal(g, rg), f"input {i}"
+        assert g is not None and _same_bits(g, rg), f"input {i}"
 
 
 class TestAttentionEquivalence:

@@ -241,8 +241,8 @@ def frozen_sinkhorn_log(L, mu, nu, iters):
 
 class TestFrozenSinkhorn:
     """The node's loop against its frozen copy, byte for byte, on the
-    tape (forward and backward) and in the log fallback under
-    ``no_grad``."""
+    tape (forward and backward) and in the log fallback over constant
+    logits."""
 
     def test_random_cases_byte_for_byte(self):
         rng = np.random.default_rng(18)
@@ -309,17 +309,16 @@ class TestFrozenSinkhorn:
         L[0, 0] = -650.0
         mu, nu = rng.uniform(0.2, 3.0, m), rng.uniform(0.2, 3.0, n)
         nu *= mu.sum() / nu.sum()
-        with ad.no_grad():
-            lp = sinkhorn_log(constant(L), mu, nu, iters)
+        lp = sinkhorn_log(constant(L), mu, nu, iters)
         assert lp.data.tobytes() == frozen_sinkhorn_log(L, mu, nu,
                                                         iters)[0].tobytes()
 
 
 def _both_loops(logits, rows, cols, iters):
-    """The log-plan on the tape and under ``no_grad``."""
-    on_tape = sinkhorn_log(constant(logits), rows, cols, iters).data
-    with ad.no_grad():
-        off_tape = sinkhorn_log(constant(logits), rows, cols, iters).data
+    """The log-plan on the tape and off it, over constant logits."""
+    on_tape = sinkhorn_log(Tensor(logits, requires_grad=True), rows, cols,
+                           iters).data
+    off_tape = sinkhorn_log(constant(logits), rows, cols, iters).data
     return on_tape, off_tape
 
 
@@ -370,10 +369,23 @@ class TestMatrixScalingSinkhorn:
         assert np.array_equal(off_tape, on_tape)
 
     def test_no_tape_node(self):
-        x = Tensor(np.zeros((3, 4)), requires_grad=True)
-        with ad.no_grad():
-            lp = sinkhorn_log(x, *uniform_dustbin_marginals(2, 3), iters=100)
+        x = constant(np.zeros((3, 4)))
+        lp = sinkhorn_log(x, *uniform_dustbin_marginals(2, 3), iters=100)
         assert lp.parents == () and lp.name == "sinkhorn_log"
+
+    def test_sinkhorn_runs_the_scaling_loop(self):
+        # in range, the plan is exp of the matrix-scaling log-plan; past
+        # _EXP_RANGE it is exp of the log loop's
+        rng = np.random.default_rng(7)
+        logits = rng.normal(size=(5, 6)) * 3.0
+        rows, cols = uniform_dustbin_marginals(4, 5)
+        plan = sinkhorn(logits, rows, cols, iters=100).values
+        assert plan.tobytes() == np.exp(
+            _sinkhorn_scaling(logits, rows, cols, 100)).tobytes()
+        logits[0, 0] = -650.0
+        plan = sinkhorn(logits, rows, cols, iters=100).values
+        assert plan.tobytes() == np.exp(
+            frozen_sinkhorn_log(logits, rows, cols, 100)[0]).tobytes()
 
 
 class TestAssociationLoss:

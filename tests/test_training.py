@@ -232,6 +232,19 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=1, batch_pairs=6, gt_only=True, seed=2)
         assert len(train(data, cfg, asm, 600.0, 800.0)) >= 1
 
+    @pytest.mark.parametrize("gt_only", [False, True])
+    def test_frames_without_ground_truth_rejected(self, gt_only):
+        # the annotation-only channel reads no detection of its own, so it
+        # would train 0 steps on such frames and exit cleanly
+        data = generate_dataset(_tiny_scene(), 2, seed=11)
+        for seq in data:
+            for fr in seq:
+                fr.gt = None
+        cfg = TrainConfig(epochs=1, batch_pairs=2, gt_only=gt_only, seed=2)
+        with pytest.raises(TrainingError, match="require ground truth"):
+            train(data, cfg, _tiny_model(seed=1, sinkhorn_iters=20),
+                  600.0, 800.0)
+
     def test_trains_on_read_back_data_with_empty_ground_truth(self, tmp_path):
         # two-frame sequences, so every sampled pair holds the empty frame
         data = [seq[:2] for seq in generate_dataset(_tiny_scene(), 3, seed=11)]
