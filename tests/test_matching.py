@@ -315,7 +315,8 @@ class TestFrozenSinkhorn:
 
 
 def _both_loops(logits, rows, cols, iters):
-    """The log-plan on the tape and off it, over constant logits."""
+    """The log-plan on the tape (logits that take a gradient) and off it
+    (constant logits)."""
     on_tape = sinkhorn_log(Tensor(logits, requires_grad=True), rows, cols,
                            iters).data
     off_tape = sinkhorn_log(constant(logits), rows, cols, iters).data
