@@ -4,6 +4,7 @@
 # seconds. Outputs land in ./demo_out.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 
 OUT=demo_out
 FAST=(

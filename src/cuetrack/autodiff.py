@@ -4,10 +4,12 @@ Everything is float64. A forward pass records a define-by-run tape of
 ``Tensor`` nodes; ``Tensor.backward()`` walks the tape once in reverse
 topological order and accumulates gradients into leaf tensors.
 
-Only the primitives the association model needs are implemented:
-matmul, (broadcast) add, elementwise mul, scale, transpose, relu,
-row softmax, row/column log-sum-exp, group normalization, concat,
-column slicing, row splitting, fill-from-scalar, exp and sum.
+The association model runs these primitives: matmul, (broadcast) add,
+elementwise mul, scale, transpose, row and column concat, row
+splitting, fill-from-scalar, sum and row mean. The rest serve the
+tests as references: relu, exp, row softmax, row and column
+log-sum-exp, column slicing and group normalization. Every op takes
+``Tensor`` operands; wrap an array in ``constant`` first.
 
 Three fused nodes replace the primitive chains the model runs most:
 ``multihead_attention`` (projections, per-head scaled dot-product
@@ -48,7 +50,9 @@ self- and cross-attention). The backward stays one loop over the heads:
 batching its products changed the rounding of the training gradients.
 
 A tensor joins the tape only when a gradient can reach it: when one of
-its parents requires a gradient or has parents of its own. Otherwise it
+its parents requires a gradient. It then requires one too, so
+``requires_grad`` is the one flag: a leaf keeps the one it was given,
+and an op's output has it when some input has it. Otherwise the output
 keeps neither parents nor backward closure, so nothing keeps the
 intermediate arrays alive and ``backward`` reaches no node. Code that
 never takes a gradient, the online tracker, runs over constant leaves
@@ -99,13 +103,13 @@ def checked() -> Iterator[None]:
 class Tensor:
     """A node of the computation tape.
 
-    Interior nodes carry a ``_backward`` closure distributing the upstream
-    gradient to their parents. Every tensor that ``backward`` reaches gets
-    a ``.grad``, except a constant leaf (``requires_grad`` false and no
-    parents): no gradient flows from it to a parameter, so no backward
-    forms or stores one, and its ``.grad`` stays None.
-    A tensor none of whose parents requires a gradient or has parents
-    keeps neither parents nor closure: no gradient can reach it.
+    ``requires_grad`` says whether a gradient can reach the tensor. A leaf
+    keeps the flag it is given (true for a parameter, false for a
+    constant); any other tensor has it when one of its parents has it,
+    and then it keeps those parents and a ``_backward`` closure
+    distributing the upstream gradient to them. Without the flag it keeps
+    neither, and no backward forms or stores its gradient: its ``.grad``
+    stays None. Ops take ``Tensor`` operands only.
     Its values are checked for non-finite entries only inside ``checked``.
     """
 
@@ -119,7 +123,8 @@ class Tensor:
             raise AutodiffError(f"non-finite values entering tensor {name or '<unnamed>'}")
         self.requires_grad = requires_grad
         for p in parents:
-            if p.requires_grad or p.parents:
+            if p.requires_grad:
+                self.requires_grad = True
                 break
         else:
             parents, backward = (), None
@@ -128,16 +133,8 @@ class Tensor:
         self._backward = backward
         self.name = name
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def takes_grad(self) -> bool:
-        """False for a constant leaf, whose gradient no backward forms."""
-        return self.requires_grad or bool(self.parents)
-
     def _accumulate(self, g: np.ndarray) -> None:
-        if not self.takes_grad():
+        if not self.requires_grad:
             return
         if g.shape != self.data.shape:
             raise AutodiffError(
@@ -201,14 +198,8 @@ def constant(x, name: str = "") -> Tensor:
     return Tensor(x, requires_grad=False, name=name)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else constant(x)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad down to `shape` (inverse of numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = np.add.reduce(grad, axis=0)
+    """Sum grad down to `shape`, of the same rank (undoes broadcasting)."""
     for axis, extent in enumerate(shape):
         if extent == 1 and grad.shape[axis] != 1:
             grad = np.add.reduce(grad, axis=axis, keepdims=True)
@@ -217,8 +208,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 # -- primitives ----------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
@@ -228,21 +218,19 @@ def add(a, b) -> Tensor:
     return Tensor(out_data, parents=(a, b), backward=backward, name="add")
 
 
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        if a.takes_grad():
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.takes_grad():
+        if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return Tensor(out_data, parents=(a, b), backward=backward, name="mul")
 
 
-def scale(a, k: float) -> Tensor:
-    a = _wrap(a)
+def scale(a: Tensor, k: float) -> Tensor:
     k = float(k)
 
     def backward(g):
@@ -251,8 +239,7 @@ def scale(a, k: float) -> Tensor:
     return Tensor(a.data * k, parents=(a,), backward=backward, name="scale")
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise AutodiffError("matmul expects 2-D operands")
     if a.data.shape[1] != b.data.shape[0]:
@@ -261,16 +248,15 @@ def matmul(a, b) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        if a.takes_grad():
+        if a.requires_grad:
             a._accumulate(g @ b.data.T)
-        if b.takes_grad():
+        if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
     return Tensor(out_data, parents=(a, b), backward=backward, name="matmul")
 
 
-def transpose(a) -> Tensor:
-    a = _wrap(a)
+def transpose(a: Tensor) -> Tensor:
 
     def backward(g):
         a._accumulate(g.T)
@@ -278,8 +264,7 @@ def transpose(a) -> Tensor:
     return Tensor(a.data.T, parents=(a,), backward=backward, name="transpose")
 
 
-def relu(a) -> Tensor:
-    a = _wrap(a)
+def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
     def backward(g):
@@ -288,8 +273,7 @@ def relu(a) -> Tensor:
     return Tensor(a.data * mask, parents=(a,), backward=backward, name="relu")
 
 
-def exp(a) -> Tensor:
-    a = _wrap(a)
+def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
     def backward(g):
@@ -312,9 +296,8 @@ def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (g - np.add.reduce(g * p, axis=-1, keepdims=True)) * p
 
 
-def softmax_rows(a) -> Tensor:
+def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax, overflow-safe via max subtraction."""
-    a = _wrap(a)
     out_data = _softmax(a.data)
 
     def backward(g):
@@ -323,9 +306,8 @@ def softmax_rows(a) -> Tensor:
     return Tensor(out_data, parents=(a,), backward=backward, name="softmax_rows")
 
 
-def logsumexp_rows(a) -> Tensor:
+def logsumexp_rows(a: Tensor) -> Tensor:
     """Log-sum-exp along rows of an (M, N) tensor -> (M, 1)."""
-    a = _wrap(a)
     m = a.data.max(axis=1, keepdims=True)
     out_data = m + np.log(np.exp(a.data - m).sum(axis=1, keepdims=True))
     soft = np.exp(a.data - out_data)
@@ -336,9 +318,8 @@ def logsumexp_rows(a) -> Tensor:
     return Tensor(out_data, parents=(a,), backward=backward, name="lse_rows")
 
 
-def logsumexp_cols(a) -> Tensor:
+def logsumexp_cols(a: Tensor) -> Tensor:
     """Log-sum-exp along columns of an (M, N) tensor -> (1, N)."""
-    a = _wrap(a)
     m = a.data.max(axis=0, keepdims=True)
     out_data = m + np.log(np.exp(a.data - m).sum(axis=0, keepdims=True))
     soft = np.exp(a.data - out_data)
@@ -350,7 +331,7 @@ def logsumexp_cols(a) -> Tensor:
 
 
 def concat_cols(tensors: Iterable[Tensor]) -> Tensor:
-    ts = [_wrap(t) for t in tensors]
+    ts = list(tensors)
     widths = [t.data.shape[1] for t in ts]
     out_data = np.concatenate([t.data for t in ts], axis=1)
 
@@ -364,7 +345,7 @@ def concat_cols(tensors: Iterable[Tensor]) -> Tensor:
 
 
 def concat_rows(tensors: Iterable[Tensor]) -> Tensor:
-    ts = [_wrap(t) for t in tensors]
+    ts = list(tensors)
     heights = [t.data.shape[0] for t in ts]
     out_data = np.concatenate([t.data for t in ts], axis=0)
 
@@ -377,14 +358,13 @@ def concat_rows(tensors: Iterable[Tensor]) -> Tensor:
     return Tensor(out_data, parents=tuple(ts), backward=backward, name="concat_rows")
 
 
-def split_rows(a, blocks: tuple[slice, ...]) -> tuple[Tensor, ...]:
+def split_rows(a: Tensor, blocks: tuple[slice, ...]) -> tuple[Tensor, ...]:
     """The row blocks of ``a`` as tensors of their own, one node each.
 
     A block's backward places its gradient in an array of ``a``'s shape
     filled with -0.0, the one value that leaves every addend as it is,
     signed zeros included; so ``a``'s gradient is its blocks' gradients,
     bit for bit."""
-    a = _wrap(a)
 
     def part(blk: slice) -> Tensor:
         def backward(g):
@@ -398,8 +378,7 @@ def split_rows(a, blocks: tuple[slice, ...]) -> tuple[Tensor, ...]:
     return tuple(part(blk) for blk in blocks)
 
 
-def slice_cols(a, start: int, stop: int) -> Tensor:
-    a = _wrap(a)
+def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
     def backward(g):
         full = np.zeros_like(a.data)
@@ -411,7 +390,6 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
 
 def fill(shape: tuple, scalar: Tensor) -> Tensor:
     """Broadcast a 1-element tensor into a constant-valued matrix."""
-    scalar = _wrap(scalar)
     if scalar.data.size != 1:
         raise AutodiffError("fill expects a 1-element tensor")
     out_data = np.full(shape, float(scalar.data.reshape(-1)[0]))
@@ -422,9 +400,8 @@ def fill(shape: tuple, scalar: Tensor) -> Tensor:
     return Tensor(out_data, parents=(scalar,), backward=backward, name="fill")
 
 
-def total(a) -> Tensor:
+def total(a: Tensor) -> Tensor:
     """Sum all entries to a 1x1 tensor."""
-    a = _wrap(a)
 
     def backward(g):
         a._accumulate(np.full(a.data.shape, g.reshape(-1)[0]))
@@ -432,9 +409,8 @@ def total(a) -> Tensor:
     return Tensor(a.data.sum().reshape(1, 1), parents=(a,), backward=backward, name="total")
 
 
-def mean_rows(a) -> Tensor:
+def mean_rows(a: Tensor) -> Tensor:
     """Mean over rows of an (M, N) tensor -> (1, N)."""
-    a = _wrap(a)
     m = a.data.shape[0]
     out_data = a.data.mean(axis=0, keepdims=True)
 
@@ -492,7 +468,7 @@ def _affine(x: Tensor, W: Tensor, b: Tensor, blocks: tuple[slice, ...]):
         for blk in blocks[1:]:
             gb = gb + _unbroadcast(g[blk], b.data.shape)
         b._accumulate(gb)
-        if x.takes_grad():
+        if x.requires_grad:
             x._accumulate(_rows_matmul(g, W.data.T, blocks))
         W._accumulate(_weight_grad(x.data, g, blocks))
 
@@ -545,7 +521,8 @@ def _group_norm(a: np.ndarray, gamma: Tensor, beta: Tensor,
     return out, backward
 
 
-def group_norm(x, gamma, beta, num_groups: int | None = None, eps: float = 1e-5) -> Tensor:
+def group_norm(x: Tensor, gamma: Tensor, beta: Tensor,
+               num_groups: int | None = None, eps: float = 1e-5) -> Tensor:
     """Per-row group normalization of an (N, C) tensor.
 
     Channels are split into groups (8 when divisible and at least 2 wide,
@@ -554,7 +531,6 @@ def group_norm(x, gamma, beta, num_groups: int | None = None, eps: float = 1e-5)
     length C. Single-channel groups would standardize to zero and sever
     the gradient, so the default never produces them.
     """
-    x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     out_data, norm_backward = _group_norm(x.data, gamma, beta, num_groups, eps,
                                           (slice(0, x.data.shape[0]),))
 
@@ -566,18 +542,17 @@ def group_norm(x, gamma, beta, num_groups: int | None = None, eps: float = 1e-5)
 
 # -- fused nodes ---------------------------------------------------------
 
-def linear(x, W: Tensor, b: Tensor,
+def linear(x: Tensor, W: Tensor, b: Tensor,
            blocks: tuple[slice, ...] | None = None) -> Tensor:
     """``add(matmul(x, W), b)`` as one node. ``blocks``, the row slices of
     frames stacked in ``x`` (by default one frame), runs each product once
     per frame and sums the bias gradient per frame, so every value and
     gradient is that of one composition per frame, bit for bit."""
-    x = _wrap(x)
     out, backward = _affine(x, W, b, blocks or (slice(0, x.data.shape[0]),))
     return Tensor(out, parents=(x, W, b), backward=backward, name="linear")
 
 
-def linear_gn_relu(x, W: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
+def linear_gn_relu(x: Tensor, W: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
                    blocks: tuple[slice, ...] | None = None) -> Tensor:
     """``relu(group_norm(add(matmul(x, W), b), gamma, beta))`` as one node:
     a hidden MLP layer, with group_norm's default groups.
@@ -587,7 +562,6 @@ def linear_gn_relu(x, W: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
     gradient per frame; the bias add, group norm and ReLU work row by
     row, so they run once on the stack. Every value and gradient is then
     that of one node per frame, bit for bit."""
-    x = _wrap(x)
     blocks = blocks or (slice(0, x.data.shape[0]),)
     h, affine_backward = _affine(x, W, b, blocks)
     normed, norm_backward = _group_norm(h, gamma, beta, None, 1e-5, blocks)
@@ -601,8 +575,8 @@ def linear_gn_relu(x, W: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
                   name="linear_gn_relu")
 
 
-def multihead_attention(xq, xkv, Wq: Tensor, Wk: Tensor, Wv: Tensor,
-                        Wo: Tensor, num_heads: int) -> Tensor:
+def multihead_attention(xq: Tensor, xkv: Tensor, Wq: Tensor, Wk: Tensor,
+                        Wv: Tensor, Wo: Tensor, num_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention of the rows of ``xq`` over
     the rows of ``xkv`` as one node.
 
@@ -612,7 +586,6 @@ def multihead_attention(xq, xkv, Wq: Tensor, Wk: Tensor, Wv: Tensor,
     always checked for overflow: a -inf logit beside finite ones leaves
     the output finite, so no check on the model's results would see it.
     """
-    xq, xkv = _wrap(xq), _wrap(xkv)
     q = xq.data @ Wq.data
     k = xkv.data @ Wk.data
     v = xkv.data @ Wv.data
@@ -649,7 +622,7 @@ def multihead_attention(xq, xkv, Wq: Tensor, Wk: Tensor, Wv: Tensor,
         # Q, then K, then V: the order in which the primitive tape adds
         # into xq's and xkv's gradients, which a self-attention shares
         for x, W, gp in ((xq, Wq, dq), (xkv, Wk, dk), (xkv, Wv, dv)):
-            if x.takes_grad():
+            if x.requires_grad:
                 x._accumulate(gp @ W.data.T)
             W._accumulate(x.data.T @ gp)
 

@@ -181,6 +181,11 @@ def load_config(path: str | None = None,
     if data["mode"] not in ("open", "closed"):
         raise ConfigError(f"unknown mode {data['mode']!r}")
     seed = _cast(int, data["seed"], "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must not be negative, got {seed}")
+    num_sequences = _cast(int, data["num_sequences"], "num_sequences")
+    if num_sequences < 1:
+        raise ConfigError(f"num_sequences must be at least 1, got {num_sequences}")
     cues = {c: _cast(bool, data["cues"][c], f"cues.{c}") for c in _CUES}
     scene = data["scene"]
     model = dict(data["model"], semantic_dim=scene["semantic_dim"],
@@ -188,8 +193,7 @@ def load_config(path: str | None = None,
                  closed_set=data["mode"] == "closed", seed=seed,
                  **{f"use_{c}": on for c, on in cues.items()})
     return RunConfig(
-        preset, seed,
-        _cast(int, data["num_sequences"], "num_sequences"),
+        preset, seed, num_sequences,
         scene=_build(SceneConfig, dict(scene, seed=seed), "scene"),
         model=_build(ModelConfig, model, "model"),
         train=_build(TrainConfig, dict(data["train"], seed=seed), "train"),

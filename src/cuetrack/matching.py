@@ -121,7 +121,7 @@ def sinkhorn_log(logits: Tensor, marginals_row: np.ndarray,
     if logits.data.shape != (mu.size, nu.size):
         raise MatchingError("logits shape does not match marginals")
     L = logits.data
-    if not logits.takes_grad():
+    if not logits.requires_grad:
         log_plan = _sinkhorn_scaling(L, mu, nu, iters)
         if log_plan is not None:
             return Tensor(log_plan, name="sinkhorn_log")

@@ -375,6 +375,15 @@ def _finite_rows(values: list, width: int | None, what: str) -> np.ndarray:
     return arr
 
 
+def _class_of(obj: dict) -> int:
+    """The integer ``class`` of a ground-truth or detection entry; -1 when
+    it has none."""
+    cid = obj.get("class", -1)
+    if type(cid) is not int:
+        raise ValueError(f"class {cid!r} is not an integer")
+    return cid
+
+
 def _read_frame(rec, widths: dict[str, int]) -> FrameSample:
     """One JSONL record, checked; ``widths`` keeps each cue vector's width
     from the first record that has detections."""
@@ -386,7 +395,18 @@ def _read_frame(rec, widths: dict[str, int]) -> FrameSample:
     if boxes:
         _finite_rows(boxes, 4, "box")
     if gt is not None:
-        gt = [(g["id"], Box(*g["box"]), g.get("class", -1)) for g in gt]
+        ids: set[int] = set()
+        for g in gt:
+            tid = g["id"]
+            # ``metrics.pool_sequences`` shifts ids past the previous
+            # sequence's largest, so a negative id could collide there
+            if type(tid) is not int or tid < 0:
+                raise ValueError(f"ground-truth id {tid!r} is not a "
+                                 f"non-negative integer")
+            if tid in ids:
+                raise ValueError(f"ground-truth id {tid} repeats in the frame")
+            ids.add(tid)
+        gt = [(g["id"], Box(*g["box"]), _class_of(g)) for g in gt]
     dets = []
     if raw:
         scores = np.array([d["score"] for d in raw], dtype=np.float64)
@@ -397,7 +417,7 @@ def _read_frame(rec, widths: dict[str, int]) -> FrameSample:
         widths.setdefault("semantic_vec", sem.shape[1])
         widths.setdefault("appearance_vec", app.shape[1])
         dets = [Detection(Box(*d["box"]), float(d["score"]), s, a,
-                          int(d.get("class", -1)))
+                          _class_of(d))
                 for d, s, a in zip(raw, sem, app)]
     time_s = float(rec["time_s"])
     if not np.isfinite(time_s):

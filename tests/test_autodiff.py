@@ -249,6 +249,16 @@ class TestNoGrad:
         out.backward()
         assert np.array_equal(a.grad, [[3.0]]) and c.grad is None
 
+    def test_requires_grad_is_whether_a_gradient_can_reach(self):
+        a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        c = constant(np.array([[3.0, 4.0]]))
+        on_tape = scale(mul(c, a), 2.0)
+        assert on_tape.requires_grad and len(on_tape.parents) == 1
+        assert on_tape.parents[0].parents == (c, a)
+        off_tape = scale(mul(c, c), 2.0)
+        assert not off_tape.requires_grad and off_tape.parents == ()
+        assert off_tape._backward is None
+
 
 class TestChecked:
     def test_values_unchecked_outside(self):

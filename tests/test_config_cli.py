@@ -327,7 +327,9 @@ class TestCli:
                  "model: refine_widths[0] must be at least 1, got 0"),
                 ("train.iou_match_thr=1.5", "train: iou_match_thr must be in (0, 1]"),
                 ("train.iou_match_thr=0", "train: iou_match_thr must be in (0, 1]"),
-                ("train.weight_decay=-0.1", "train: weight_decay must not be negative")):
+                ("train.weight_decay=-0.1", "train: weight_decay must not be negative"),
+                ("seed=-1", "seed must not be negative, got -1"),
+                ("num_sequences=0", "num_sequences must be at least 1, got 0")):
             assert main(["simulate", "--out", str(out),
                          "--set", override]) == 2, override
             assert message in capsys.readouterr().err
@@ -564,6 +566,14 @@ def _edit_record(rec, case):
         det["semantic_vec"] = det["semantic_vec"][:15]
     elif case == "time order":
         rec["time_s"] = 0.0
+    elif case.startswith("gt id "):
+        rec["gt"][0]["id"] = json.loads(case[len("gt id "):])
+    elif case == "repeated gt id":
+        rec["gt"][1]["id"] = rec["gt"][0]["id"] = 4
+    elif case == "gt class":
+        rec["gt"][0]["class"] = 1.5
+    elif case == "detection class":
+        det["class"] = "2"
 
 
 class TestJsonlInput:
@@ -581,6 +591,13 @@ class TestJsonlInput:
         ("missing box", "missing key 'box'"),
         ("ragged vector", "semantic_vec must be numeric vectors of one width"),
         ("time order", "time_s 0.0 does not follow 0.0"),
+        ("gt id 1.5", "ground-truth id 1.5 is not a non-negative integer"),
+        ('gt id "a"', "ground-truth id 'a' is not a non-negative integer"),
+        ("gt id true", "ground-truth id True is not a non-negative integer"),
+        ("gt id -1", "ground-truth id -1 is not a non-negative integer"),
+        ("repeated gt id", "ground-truth id 4 repeats in the frame"),
+        ("gt class", "class 1.5 is not an integer"),
+        ("detection class", "class '2' is not an integer"),
     ])
     def test_bad_record_names_file_and_line(self, tmp_path, capsys, sequence,
                                             case, message):
