@@ -1,5 +1,7 @@
 """Bounding-box arithmetic: coordinate normalization, IoU, class-agnostic
-NMS and trajectory motion statistics."""
+NMS and trajectory motion statistics. ``iou_matrix`` is the one copy of
+the IoU arithmetic: ``iou``, NMS, training's ground-truth assignment and
+evaluation's matching all read it."""
 
 from __future__ import annotations
 
@@ -75,16 +77,26 @@ def normalize_box(box: Box, image_h: float, image_w: float) -> NormalizedBox:
     )
 
 
-def iou(a: Box, b: Box) -> float:
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0 or iy <= 0:
-        return 0.0
+def iou_matrix(a: list[Box], b: list[Box]) -> np.ndarray:
+    """(len(a), len(b)) IoU of every pair of boxes, 0.0 where the two do
+    not overlap or their union is not positive. Each entry takes the same
+    float64 operations, in the same order, for every caller."""
+    pa, pb = (np.array([box.as_list() for box in boxes],
+                       dtype=np.float64).reshape(-1, 4).T for boxes in (a, b))
+    # each corner as a column of a's boxes and a row of b's
+    ax0, ay0, ax1, ay1 = pa[:, :, None]
+    bx0, by0, bx1, by1 = pb[:, None, :]
+    ix = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+    iy = np.minimum(ay1, by1) - np.maximum(ay0, by0)
     inter = ix * iy
-    union = a.area + b.area - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    out = np.zeros(inter.shape)
+    np.divide(inter, union, out=out, where=(ix > 0) & (iy > 0) & (union > 0))
+    return out
+
+
+def iou(a: Box, b: Box) -> float:
+    return float(iou_matrix([a], [b])[0, 0])
 
 
 def class_agnostic_nms(dets: list[tuple[Box, float]], iou_thr: float,
@@ -95,26 +107,15 @@ def class_agnostic_nms(dets: list[tuple[Box, float]], iou_thr: float,
     with ties broken toward the lower original index.
     """
     order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
+    boxes = [box for box, _ in dets]
+    # as lists: at a frame's few boxes, array indexing costs more than the table
+    over = (iou_matrix(boxes, boxes) > iou_thr).tolist()
     kept: list[int] = []
-    # each survivor's corners and area: ``iou`` inlined, same operations
-    kept_boxes: list[tuple[float, float, float, float, float]] = []
     for i in order:
         if len(kept) >= max_keep:
             break
-        b = dets[i][0]
-        x0, y0, x1, y1 = b.x_min, b.y_min, b.x_max, b.y_max
-        area = (x1 - x0) * (y1 - y0)
-        for kx0, ky0, kx1, ky1, k_area in kept_boxes:
-            ix = min(x1, kx1) - max(x0, kx0)
-            iy = min(y1, ky1) - max(y0, ky0)
-            if ix > 0 and iy > 0:
-                inter = ix * iy
-                union = area + k_area - inter
-                if union > 0 and inter / union > iou_thr:
-                    break
-        else:
+        if not any(over[i][k] for k in kept):
             kept.append(i)
-            kept_boxes.append((x0, y0, x1, y1, area))
     return sorted(kept)
 
 

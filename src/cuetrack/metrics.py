@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, iou, motion_stats
+from .geometry import Box, iou_matrix, motion_stats
 from .matching import hungarian
 from .simulator import FrameSample
 
@@ -35,7 +35,7 @@ def _match_frame(pred_boxes: list[Box], gt_boxes: list[Box],
     with IoU >= threshold."""
     if not pred_boxes or not gt_boxes:
         return []
-    mat = np.array([[iou(p, g) for g in gt_boxes] for p in pred_boxes])
+    mat = iou_matrix(pred_boxes, gt_boxes)
     pairs, _ = hungarian(-mat)
     return [(r, c) for r, c in pairs if mat[r, c] >= iou_thr]
 

@@ -384,11 +384,17 @@ def _class_of(obj: dict) -> int:
     return cid
 
 
-def _read_frame(rec, widths: dict[str, int]) -> FrameSample:
+def _read_frame(rec, widths: dict[str, int], position: int) -> FrameSample:
     """One JSONL record, checked; ``widths`` keeps each cue vector's width
-    from the first record that has detections."""
+    from the first record that has detections. Its ``frame`` must be
+    ``position``, the record's 0-based place in the file: tracking numbers
+    frames by place, evaluation looks ground truth up by ``frame``."""
     if not isinstance(rec, dict):
         raise ValueError("a record must be a JSON object")
+    frame_id = rec["frame"]
+    if type(frame_id) is not int or frame_id != position:
+        raise ValueError(f"frame {frame_id!r} is not {position}, the record's "
+                         f"0-based position in the file")
     gt = rec.get("gt")
     raw = rec.get("detections", [])
     boxes = [g["box"] for g in gt or ()] + [d["box"] for d in raw]
@@ -422,7 +428,7 @@ def _read_frame(rec, widths: dict[str, int]) -> FrameSample:
     time_s = float(rec["time_s"])
     if not np.isfinite(time_s):
         raise ValueError("time_s must be finite")
-    return FrameSample(frame_id=int(rec["frame"]), time_s=time_s,
+    return FrameSample(frame_id=frame_id, time_s=time_s,
                        detections=dets, gt=gt)
 
 
@@ -436,7 +442,7 @@ def read_sequence(path: str) -> list[FrameSample]:
             if not line.strip():
                 continue
             try:
-                frame = _read_frame(json.loads(line), widths)
+                frame = _read_frame(json.loads(line), widths, len(frames))
                 if frames and frame.time_s <= frames[-1].time_s:
                     raise ValueError(f"time_s {frame.time_s} does not follow "
                                      f"{frames[-1].time_s}")

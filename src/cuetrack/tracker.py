@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .geometry import Box
+from .geometry import Box, GeometryError
 from .model import AssocModel
 from .simulator import Detection
 
@@ -175,11 +175,14 @@ def track_sequence(frames: list[tuple[float, list[Detection]]], asm: AssocModel,
     return rows
 
 
+_RESULT_COLUMNS = ("frame", "id", "x_min", "y_min", "x_max", "y_max",
+                   "score", "class_id")
+
+
 def write_results(rows: list[tuple], path: str) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["frame", "id", "x_min", "y_min", "x_max", "y_max",
-                         "score", "class_id"])
+        writer.writerow(_RESULT_COLUMNS)
         for frame_id, tid, box, score, class_id in rows:
             writer.writerow([frame_id, tid,
                              f"{box.x_min:.4f}", f"{box.y_min:.4f}",
@@ -187,13 +190,37 @@ def write_results(rows: list[tuple], path: str) -> None:
                              f"{score:.4f}", class_id])
 
 
+def _field(rec: dict, key: str, kind: type):
+    try:
+        return kind(rec[key])
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} {rec[key]!r} is not {what}") from None
+
+
 def read_results(path: str) -> list[tuple]:
+    """The (frame, id, box, score, class) rows of a results CSV. A missing
+    column, a ``frame``, ``id`` or ``class_id`` that is not an integer, a
+    box or score that is not a number, a box that is not finite, or an id
+    repeated within a frame raises ``TrackerError`` naming ``path:line``."""
     rows = []
+    seen: set[tuple[int, int]] = set()
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
+        for key in _RESULT_COLUMNS:
+            if key not in (reader.fieldnames or ()):
+                raise TrackerError(f"{path}:1: missing column {key!r}")
         for rec in reader:
-            rows.append((int(rec["frame"]), int(rec["id"]),
-                         Box(float(rec["x_min"]), float(rec["y_min"]),
-                             float(rec["x_max"]), float(rec["y_max"])),
-                         float(rec["score"]), int(rec["class_id"])))
+            try:
+                frame_id, tid, class_id = (_field(rec, key, int)
+                                           for key in ("frame", "id", "class_id"))
+                *corners, score = (_field(rec, key, float)
+                                   for key in _RESULT_COLUMNS[2:7])
+                box = Box(*corners)
+                if (frame_id, tid) in seen:
+                    raise ValueError(f"id {tid} repeats in frame {frame_id}")
+            except (ValueError, GeometryError) as exc:
+                raise TrackerError(f"{path}:{reader.line_num}: {exc}") from None
+            seen.add((frame_id, tid))
+            rows.append((frame_id, tid, box, score, class_id))
     return rows

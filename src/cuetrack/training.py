@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from . import matching
 from .autodiff import Tensor
-from .geometry import Box, iou
+from .geometry import Box, iou_matrix
 from .model import AssocModel
 from .simulator import Detection, FrameSample
 
@@ -56,15 +56,12 @@ def dat_match(det_boxes: list[Box], gt: list[tuple[int, Box]],
     reaches the threshold; several detections may share one GT id."""
     if not 0 < iou_thr <= 1:
         raise TrainingError("iou_thr must be in (0, 1]")
-    ids: list[int | None] = []
-    for box in det_boxes:
-        best_id, best_iou = None, 0.0
-        for gid, gbox in gt:
-            v = iou(box, gbox)
-            if v > best_iou:
-                best_id, best_iou = gid, v
-        ids.append(best_id if best_iou >= iou_thr else None)
-    return ids
+    if not gt:
+        return [None] * len(det_boxes)
+    mat = iou_matrix(det_boxes, [box for _, box in gt])
+    # argmax takes the first of equal maxima: a tie goes to the earlier GT box
+    return [gt[k][0] if v >= iou_thr else None
+            for k, v in zip(mat.argmax(axis=1).tolist(), mat.max(axis=1).tolist())]
 
 
 def build_target(key_ids: list[int | None],
@@ -164,16 +161,15 @@ def _gt_channel(fr: FrameSample) -> list:
     """Clean channel for GT-only training: boxes come verbatim from the
     annotation; cue vectors are borrowed from the best-overlapping
     detection. GT boxes with no overlapping detection are skipped."""
+    if not fr.detections:
+        return []
+    mat = iou_matrix([box for _, box, _ in fr.gt], [d.box for d in fr.detections])
     out = []
-    for tid, box, cid in fr.gt:
-        best, best_iou = None, 0.0
-        for d in fr.detections:
-            v = iou(box, d.box)
-            if v > best_iou:
-                best, best_iou = d, v
-        if best is None or best_iou <= 0:
-            continue
-        out.append(Detection(box, 1.0, best.semantic_vec, best.appearance_vec, cid))
+    for (_, box, cid), row in zip(fr.gt, mat):
+        k = int(row.argmax())
+        if row[k] > 0:
+            best = fr.detections[k]
+            out.append(Detection(box, 1.0, best.semantic_vec, best.appearance_vec, cid))
     return out
 
 

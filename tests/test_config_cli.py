@@ -574,6 +574,8 @@ def _edit_record(rec, case):
         rec["gt"][0]["class"] = 1.5
     elif case == "detection class":
         det["class"] = "2"
+    elif case.startswith("frame "):
+        rec["frame"] = json.loads(case[len("frame "):])
 
 
 class TestJsonlInput:
@@ -598,6 +600,9 @@ class TestJsonlInput:
         ("repeated gt id", "ground-truth id 4 repeats in the frame"),
         ("gt class", "class 1.5 is not an integer"),
         ("detection class", "class '2' is not an integer"),
+        ("frame 2.5", "frame 2.5 is not 1, the record's 0-based position"),
+        ("frame true", "frame True is not 1, the record's 0-based position"),
+        ("frame 5", "frame 5 is not 1, the record's 0-based position"),
     ])
     def test_bad_record_names_file_and_line(self, tmp_path, capsys, sequence,
                                             case, message):

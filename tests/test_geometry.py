@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuetrack.geometry import (Box, GeometryError, class_agnostic_nms, iou,
-                               motion_stats, normalize_box)
+                               iou_matrix, motion_stats, normalize_box)
 
 boxes = st.builds(
     lambda x, y, w, h: Box(x, y, x + w, y + h),
@@ -49,6 +49,54 @@ class TestIou:
         v = iou(a, b)
         assert 0.0 <= v <= 1.0
         assert abs(v - iou(b, a)) < 1e-12
+
+
+def _scalar_iou(a, b):
+    """The per-pair IoU that ``iou_matrix`` replaced, kept as its oracle."""
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    union = a.area + b.area - inter
+    if union <= 0:
+        return 0.0
+    return inter / union
+
+
+# small integer corners and widths from 0 give touching, nested, disjoint,
+# repeated and zero-width boxes; a fractional offset gives inexact sums
+grid_boxes = st.builds(
+    lambda x, y, w, h, d: Box(x + d, y, x + d + w, y + h),
+    st.integers(0, 10), st.integers(0, 10), st.integers(0, 6),
+    st.integers(0, 6), st.sampled_from([0.0, 0.1, 1 / 3]))
+
+
+class TestIouMatrix:
+    @given(st.lists(grid_boxes | boxes, max_size=7),
+           st.lists(grid_boxes | boxes, max_size=7))
+    @settings(max_examples=200, deadline=None)
+    def test_entries_equal_the_scalar_oracle_byte_for_byte(self, a, b):
+        mat = iou_matrix(a, b)
+        assert mat.shape == (len(a), len(b)) and mat.dtype == np.float64
+        want = np.array([[_scalar_iou(p, q) for q in b] for p in a],
+                        dtype=np.float64).reshape(len(a), len(b))
+        assert mat.tobytes() == want.tobytes()
+
+    def test_touching_nested_and_zero_width(self):
+        a = Box(0, 0, 10, 10)
+        others = [Box(10, 0, 20, 10),   # touching edge
+                  Box(2, 2, 7, 7),      # nested
+                  Box(30, 30, 40, 40),  # disjoint
+                  Box(5, 0, 5, 10),     # zero width, inside
+                  Box(0, 0, 10, 10)]    # the same box
+        assert iou_matrix([a], others).tolist() == [[0.0, 0.25, 0.0, 0.0, 1.0]]
+
+    @pytest.mark.parametrize("m, n", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_inputs_give_empty_shapes(self, m, n):
+        a = [Box(0, 0, 1, 1)] * m
+        b = [Box(0, 0, 2, 2)] * n
+        assert iou_matrix(a, b).shape == (m, n)
 
 
 class TestNormalization:

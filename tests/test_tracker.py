@@ -453,3 +453,36 @@ class TestResultsIO:
         write_results([], path)
         header = open(path).readline().strip()
         assert header == "frame,id,x_min,y_min,x_max,y_max,score,class_id"
+
+    @pytest.mark.parametrize("case, line, message", [
+        ("repeated row", 3, "id {id} repeats in frame 0"),
+        ("no score column", 1, "missing column 'score'"),
+        ("id x", 2, "id 'x' is not an integer"),
+        ("id 2.0", 2, "id '2.0' is not an integer"),
+        ("nan box", 2, "has non-finite coordinates"),
+    ])
+    def test_bad_row_fails_eval_naming_file_and_line(self, tmp_path, capsys,
+                                                     case, line, message):
+        frames = generate(_scene(seed=5))
+        write_dataset([frames], str(tmp_path / "data"))
+        path = tmp_path / "r.csv"
+        write_results([(fr.frame_id, tid, box, 0.9, cid)
+                       for fr in frames for tid, box, cid in fr.gt], str(path))
+        cells = [row.split(",") for row in path.read_text().splitlines()]
+        if case == "repeated row":
+            cells.insert(2, cells[1])
+        elif case == "no score column":
+            cells = [row[:6] + row[7:] for row in cells]
+        elif case.startswith("id "):
+            cells[1][1] = case[len("id "):]
+        elif case == "nan box":
+            cells[1][4] = "nan"
+        path.write_text("".join(",".join(row) + "\n" for row in cells))
+        report = tmp_path / "report.csv"
+        capsys.readouterr()
+        assert main(["eval", "--pred", str(path), "--gt", str(tmp_path / "data"),
+                     "--out", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{line}: ")
+        assert message.format(id=cells[1][1]) in err
+        assert not report.exists()
