@@ -11,11 +11,11 @@ from cuetrack import bench, matching
 from cuetrack.autodiff import AutodiffError, ParameterStore
 from cuetrack.geometry import Box, GeometryError
 from cuetrack.model import AssocModel, ModelConfig
-from cuetrack.simulator import (ClassProfile, FrameSample, NoiseConfig,
-                                SceneConfig, generate_dataset, read_dataset,
-                                write_dataset)
-from cuetrack.training import (TrainConfig, TrainingError, build_target,
-                               dat_match, sample_pair, train,
+from cuetrack.simulator import (ClassProfile, Detection, FrameSample,
+                                NoiseConfig, SceneConfig, generate_dataset,
+                                read_dataset, write_dataset)
+from cuetrack.training import (TrainConfig, TrainingError, _gt_channel,
+                               build_target, dat_match, sample_pair, train,
                                write_loss_history)
 
 
@@ -62,6 +62,12 @@ class TestDatMatch:
                 Box(3, 3, 3, 3)]
         assert dat_match(dets, gt, 0.1) == [None] * 4
 
+    def test_a_tie_goes_to_the_earlier_gt_box(self):
+        # Box(1, 0, 11, 10) overlaps each GT box by 90 / 110, bit for bit
+        gt = [(4, Box(0, 0, 10, 10)), (9, Box(2, 0, 12, 10)), (6, Box(0, 0, 10, 10))]
+        assert dat_match([Box(1, 0, 11, 10), Box(0, 0, 10, 10)], gt, 0.5) == [4, 4]
+        assert dat_match([Box(1, 0, 11, 10)], gt[::-1], 0.5) == [6]
+
     def test_bad_threshold(self):
         with pytest.raises(TrainingError):
             dat_match([], [], 0.0)
@@ -72,6 +78,22 @@ class TestDatMatch:
             dat_match([Box(0, 0, float("nan"), 10)], gt, 0.5)
         with pytest.raises(GeometryError, match="non-finite"):
             dat_match([Box(0, 0, 10, 10)], [(7, Box(0, 0, float("inf"), 10))], 0.5)
+
+
+class TestGtChannel:
+    def test_borrows_the_first_best_detections_cues(self):
+        def det(box, k):
+            return Detection(box, 0.5, np.full(2, k), np.full(3, k), 0)
+        dets = [det(Box(2, 0, 12, 10), 1.0), det(Box(0, 0, 10, 10), 2.0),
+                det(Box(-2, 0, 8, 10), 3.0)]
+        gt = [(1, Box(1, 0, 11, 10), 5),    # ties detections 0 and 1
+              (2, Box(-1, 0, 9, 10), 6),    # ties detections 1 and 2
+              (3, Box(12, 0, 22, 10), 7)]   # touches detection 0: skipped
+        out = _gt_channel(FrameSample(0, 0.0, dets, gt))
+        assert [(d.box, d.class_id, d.semantic_vec[0], d.appearance_vec[0])
+                for d in out] == [(Box(1, 0, 11, 10), 5, 1.0, 1.0),
+                                  (Box(-1, 0, 9, 10), 6, 2.0, 2.0)]
+        assert _gt_channel(FrameSample(0, 0.0, [], gt)) == []
 
 
 class TestBuildTarget:
