@@ -4,26 +4,31 @@ Everything is float64. A forward pass records a define-by-run tape of
 ``Tensor`` nodes; ``Tensor.backward()`` walks the tape once in reverse
 topological order and accumulates gradients into leaf tensors.
 
-The association model runs these primitives: matmul, (broadcast) add,
-elementwise mul, scale, transpose, row and column concat, row
-splitting, fill-from-scalar, sum and row mean. The rest serve the
-tests as references: relu, exp, row softmax, row and column
-log-sum-exp, column slicing and group normalization. Every op takes
-``Tensor`` operands; wrap an array in ``constant`` first.
+The module holds the ops the association model runs: matmul,
+(broadcast) add, elementwise mul, scale, transpose, row and column
+concat, row splitting, fill-from-scalar, sum and row mean, and the fused
+nodes below. Every op takes ``Tensor`` operands (wrap an array in
+``constant`` first) and has one spelling, a function call: ``Tensor``
+defines no arithmetic operators, so ``a - b`` is written
+``add(a, scale(b, -1.0))``.
 
 Three fused nodes replace the primitive chains the model runs most:
 ``multihead_attention`` (projections, per-head scaled dot-product
 softmax, merge and output projection), ``linear_gn_relu`` (a hidden MLP
 layer) and ``linear`` (the bare last one). Each runs the numpy
 operations of its composition in the same order, so its output and
-every input gradient are equal to the composition's bit for bit; the
-primitives remain the reference the tests compare them with. A fused
-backward calls ``_accumulate`` on its inputs in the order the
-composition's nodes would: a leaf's gradient is a floating-point sum, so
-another order rounds differently. Softmax and group-norm arithmetic has
-one copy, shared by the primitives and the fused nodes; it reduces with
-``np.add.reduce`` and works in place, the float operations of the method
-wrappers and the copies.
+every input gradient are equal to the composition's bit for bit. The
+ops those compositions need beyond the primitives (relu, exp, row
+softmax, row and column log-sum-exp, column slicing and group
+normalization) live beside the tests, in ``tests/reference_ops.py``, as
+the reference the tests compare the fused nodes with. A fused backward
+calls ``_accumulate`` on its inputs in the order the composition's
+nodes would: a leaf's gradient is a floating-point sum, so another
+order rounds differently. Softmax and group-norm arithmetic has one
+copy, ``_softmax``, ``_softmax_grad`` and ``_group_norm``, shared by the
+fused nodes and the reference ops; it reduces with ``np.add.reduce`` and
+works in place, the float operations of the method wrappers and the
+copies.
 
 The two MLP nodes take row blocks, the rows of each frame stacked in
 their input (one block when a frame runs alone). Each product runs once
@@ -174,22 +179,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # -- convenience operators ------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, name={self.name!r})"
 
@@ -264,24 +253,6 @@ def transpose(a: Tensor) -> Tensor:
     return Tensor(a.data.T, parents=(a,), backward=backward, name="transpose")
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def backward(g):
-        a._accumulate(g * mask)
-
-    return Tensor(a.data * mask, parents=(a,), backward=backward, name="relu")
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * out_data)
-
-    return Tensor(out_data, parents=(a,), backward=backward, name="exp")
-
-
 def _softmax(a: np.ndarray) -> np.ndarray:
     """Softmax along the last axis of an array, overflow-safe via max
     subtraction."""
@@ -294,40 +265,6 @@ def _softmax(a: np.ndarray) -> np.ndarray:
 def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Gradient through the row softmax ``p`` of upstream gradient ``g``."""
     return (g - np.add.reduce(g * p, axis=-1, keepdims=True)) * p
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax, overflow-safe via max subtraction."""
-    out_data = _softmax(a.data)
-
-    def backward(g):
-        a._accumulate(_softmax_grad(g, out_data))
-
-    return Tensor(out_data, parents=(a,), backward=backward, name="softmax_rows")
-
-
-def logsumexp_rows(a: Tensor) -> Tensor:
-    """Log-sum-exp along rows of an (M, N) tensor -> (M, 1)."""
-    m = a.data.max(axis=1, keepdims=True)
-    out_data = m + np.log(np.exp(a.data - m).sum(axis=1, keepdims=True))
-    soft = np.exp(a.data - out_data)
-
-    def backward(g):
-        a._accumulate(g * soft)
-
-    return Tensor(out_data, parents=(a,), backward=backward, name="lse_rows")
-
-
-def logsumexp_cols(a: Tensor) -> Tensor:
-    """Log-sum-exp along columns of an (M, N) tensor -> (1, N)."""
-    m = a.data.max(axis=0, keepdims=True)
-    out_data = m + np.log(np.exp(a.data - m).sum(axis=0, keepdims=True))
-    soft = np.exp(a.data - out_data)
-
-    def backward(g):
-        a._accumulate(g * soft)
-
-    return Tensor(out_data, parents=(a,), backward=backward, name="lse_cols")
 
 
 def concat_cols(tensors: Iterable[Tensor]) -> Tensor:
@@ -376,16 +313,6 @@ def split_rows(a: Tensor, blocks: tuple[slice, ...]) -> tuple[Tensor, ...]:
                       name="split_rows")
 
     return tuple(part(blk) for blk in blocks)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        a._accumulate(full)
-
-    return Tensor(a.data[:, start:stop], parents=(a,), backward=backward, name="slice_cols")
 
 
 def fill(shape: tuple, scalar: Tensor) -> Tensor:
@@ -521,25 +448,6 @@ def _group_norm(a: np.ndarray, gamma: Tensor, beta: Tensor,
     return out, backward
 
 
-def group_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               num_groups: int | None = None, eps: float = 1e-5) -> Tensor:
-    """Per-row group normalization of an (N, C) tensor.
-
-    Channels are split into groups (8 when divisible and at least 2 wide,
-    else 1 unless an explicit count is given); each group is standardized
-    per row and the result is scaled/shifted by learnable gamma/beta of
-    length C. Single-channel groups would standardize to zero and sever
-    the gradient, so the default never produces them.
-    """
-    out_data, norm_backward = _group_norm(x.data, gamma, beta, num_groups, eps,
-                                          (slice(0, x.data.shape[0]),))
-
-    def backward(g):
-        x._accumulate(norm_backward(g))
-
-    return Tensor(out_data, parents=(x, gamma, beta), backward=backward, name="group_norm")
-
-
 # -- fused nodes ---------------------------------------------------------
 
 def linear(x: Tensor, W: Tensor, b: Tensor,
@@ -555,7 +463,7 @@ def linear(x: Tensor, W: Tensor, b: Tensor,
 def linear_gn_relu(x: Tensor, W: Tensor, b: Tensor, gamma: Tensor, beta: Tensor,
                    blocks: tuple[slice, ...] | None = None) -> Tensor:
     """``relu(group_norm(add(matmul(x, W), b), gamma, beta))`` as one node:
-    a hidden MLP layer, with group_norm's default groups.
+    a hidden MLP layer, with ``_group_norm``'s default groups.
 
     ``blocks``, the row slices of frames stacked in ``x`` (by default one
     frame), runs each product once per frame and sums each parameter

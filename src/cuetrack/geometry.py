@@ -81,8 +81,13 @@ def iou_matrix(a: list[Box], b: list[Box]) -> np.ndarray:
     """(len(a), len(b)) IoU of every pair of boxes, 0.0 where the two do
     not overlap or their union is not positive. Each entry takes the same
     float64 operations, in the same order, for every caller."""
-    pa, pb = (np.array([box.as_list() for box in boxes],
-                       dtype=np.float64).reshape(-1, 4).T for boxes in (a, b))
+    def corners(boxes: list[Box]) -> np.ndarray:
+        return np.array([box.as_list() for box in boxes],
+                        dtype=np.float64).reshape(-1, 4).T
+
+    pa = corners(a)
+    # NMS compares a frame's boxes with themselves: one conversion serves
+    pb = pa if b is a else corners(b)
     # each corner as a column of a's boxes and a row of b's
     ax0, ay0, ax1, ay1 = pa[:, :, None]
     bx0, by0, bx1, by1 = pb[:, None, :]

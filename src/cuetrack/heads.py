@@ -110,5 +110,5 @@ def temporal_encode(fused_key: Tensor, fused_ref: Tensor) -> tuple[Tensor, Tenso
         raise HeadError("frames disagree on descriptor width")
     ctx_key = ad.mean_rows(fused_key)
     ctx_ref = ad.mean_rows(fused_ref)
-    delta = ctx_key - ctx_ref
+    delta = ad.add(ctx_key, ad.scale(ctx_ref, -1.0))
     return ad.add(fused_key, delta), ad.add(fused_ref, ad.scale(delta, -1.0))

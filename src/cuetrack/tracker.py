@@ -5,6 +5,7 @@ plan, with time-based expiry."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,8 @@ class TrackerConfig:
     def __post_init__(self):
         if not 0 < self.match_score_thr < 1:
             raise TrackerError("match_score_thr must be in (0, 1)")
-        if self.memo_length_s <= 0:
+        # NaN fails the test; infinity keeps every track for good
+        if not self.memo_length_s > 0:
             raise TrackerError("memo_length_s must be positive")
 
 
@@ -156,6 +158,8 @@ def track_sequence(frames: list[tuple[float, list[Detection]]], asm: AssocModel,
     leaves = {name: ad.constant(arr, name)
               for name, arr in asm.store.entries.items()}
     for frame_id, (time_s, detections) in enumerate(frames):
+        if not math.isfinite(time_s):
+            raise TrackerError(f"frame {frame_id}: time_s {time_s} is not finite")
         if prev_t is not None and time_s <= prev_t:
             raise TrackerError("frames out of time order")
         prev_t = time_s

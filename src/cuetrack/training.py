@@ -5,6 +5,7 @@ sample frame pairs, and run the SGD loop."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +34,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_pairs) < 1 or self.learning_rate < 0:
+        # each check is written so that NaN fails it
+        if min(self.epochs, self.batch_pairs) < 1:
             raise TrainingError("invalid training configuration")
-        if self.max_interval_s <= 0:
+        if not 0 <= self.learning_rate < math.inf:
+            raise TrainingError("learning_rate must not be negative and must be finite")
+        # infinity pairs any two frames of a sequence
+        if not self.max_interval_s > 0:
             raise TrainingError("max_interval_s must be positive")
         if not 0 < self.iou_match_thr <= 1:
             raise TrainingError("iou_match_thr must be in (0, 1]")
-        if self.weight_decay < 0:
-            raise TrainingError("weight_decay must not be negative")
+        if not 0 <= self.weight_decay < math.inf:
+            raise TrainingError("weight_decay must not be negative and must be finite")
 
 
 @dataclass

@@ -18,11 +18,9 @@ import pytest
 
 from cuetrack import bench
 from cuetrack.autodiff import (ParameterStore, add, concat_cols, concat_rows,
-                               constant, exp, fill, grad_check, group_norm,
-                               linear_gn_relu, logsumexp_cols, logsumexp_rows,
+                               constant, fill, grad_check, linear_gn_relu,
                                matmul, mean_rows, mul, multihead_attention,
-                               relu, scale, slice_cols, softmax_rows, total,
-                               transpose)
+                               scale, total, transpose)
 from cuetrack.cli import main as cli_main
 from cuetrack.geometry import Box, normalize_box
 from cuetrack.heads import head_forward, init_head, mlp_head_spec
@@ -35,6 +33,9 @@ from cuetrack.simulator import (AbsenceWindow, ClassProfile, NoiseConfig,
 from cuetrack.stog import init_stog, stog_forward
 from cuetrack.tracker import TrackerConfig, dynamic_threshold, track_sequence
 from cuetrack.training import TrainConfig, train
+
+from reference_ops import (exp, group_norm, logsumexp_cols, logsumexp_rows,
+                           relu, slice_cols, softmax_rows)
 
 
 @contextlib.contextmanager
@@ -149,8 +150,8 @@ def test_01_gradient_correctness():
         xk = constant(rng.normal(size=(3, 4)))
         xr = constant(rng.normal(size=(2, 4)))
         worst = max(worst, grad_check(
-            lambda lv: total(stog_forward(xk, xr, scfg, lv)[0])
-            + total(stog_forward(xk, xr, scfg, lv)[1]),
+            lambda lv: add(total(stog_forward(xk, xr, scfg, lv)[0]),
+                           total(stog_forward(xk, xr, scfg, lv)[1])),
             store, h=1e-5))
 
         # -- complete pipeline: heads -> graph -> transport -> loss --------
@@ -285,6 +286,7 @@ def test_07_detection_channel_training_direction(benchmark_arms):
         assert dat - gt >= 0.02
 
 
+@pytest.mark.kernel_bound
 def test_ablation_reports_pinned(benchmark_arms):
     """Each arm's full evaluation report is pinned: a refactor must leave
     the trained models, and so every count and accuracy, unchanged."""

@@ -92,6 +92,22 @@ class TestIouMatrix:
                   Box(0, 0, 10, 10)]    # the same box
         assert iou_matrix([a], others).tolist() == [[0.0, 0.25, 0.0, 0.0, 1.0]]
 
+    @given(st.lists(grid_boxes | boxes, max_size=7))
+    @settings(max_examples=100, deadline=None)
+    def test_a_list_against_itself_is_converted_once(self, a):
+        calls = []
+        as_list = Box.as_list
+
+        def counted(box):
+            calls.append(box)
+            return as_list(box)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Box, "as_list", counted)
+            mat = iou_matrix(a, a)
+        assert len(calls) == len(a)
+        assert mat.tobytes() == iou_matrix(a, list(a)).tobytes()
+
     @pytest.mark.parametrize("m, n", [(0, 3), (2, 0), (0, 0)])
     def test_empty_inputs_give_empty_shapes(self, m, n):
         a = [Box(0, 0, 1, 1)] * m

@@ -25,6 +25,8 @@ from cuetrack.matching import (MatchingError, _sinkhorn_scaling,
                                uniform_dustbin_marginals)
 from cuetrack.training import build_target
 
+import reference_ops as ref
+
 RNG = np.random.default_rng(2024)
 
 
@@ -163,8 +165,8 @@ def _unrolled_sinkhorn_log(logits, rows, cols, iters):
     u = constant(np.zeros((rows.size, 1)))
     v = constant(np.zeros((1, cols.size)))
     for _ in range(iters):
-        u = log_mu - ad.logsumexp_rows(ad.add(logits, v))
-        v = log_nu - ad.logsumexp_cols(ad.add(logits, u))
+        u = ad.add(log_mu, ad.scale(ref.logsumexp_rows(ad.add(logits, v)), -1.0))
+        v = ad.add(log_nu, ad.scale(ref.logsumexp_cols(ad.add(logits, u)), -1.0))
     return ad.add(ad.add(logits, u), v)
 
 

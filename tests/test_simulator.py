@@ -85,11 +85,13 @@ class TestDataPin:
     """Generated data is a fixed function of the scene and its seeds: any
     change to the simulator's arithmetic or draw order moves these."""
 
+    @pytest.mark.kernel_bound
     def test_benchmark_scene_data_is_pinned(self):
         seqs = generate_dataset(benchmark_scene(100), 12, 100)
         assert _data_sha256(seqs) == (
             "ff9fa787c83a0c463570385b6cd7ce0030c2249f670786d8a75b01ed70ef2680")
 
+    @pytest.mark.kernel_bound
     def test_every_branch_scene_data_is_pinned(self):
         seqs = generate_dataset(_every_branch_scene(), 12)
         assert _data_sha256(seqs) == (

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuetrack import stog
-from cuetrack.autodiff import ParameterStore, constant, grad_check, total
+from cuetrack.autodiff import ParameterStore, add, constant, grad_check, total
 from cuetrack.model import ModelConfig, ModelError
 from cuetrack.stog import (StogError, attention, init_stog, propagation_layer,
                            stog_forward)
@@ -155,7 +155,7 @@ class TestGradients:
 
         def fn(lv):
             k, r = stog_forward(x, y, cfg, lv)
-            return total(k) + total(r)
+            return add(total(k), total(r))
 
         names = [n for n in store.names() if "l0" in n][:6]
         assert grad_check(fn, store, param_names=names) < 1e-5

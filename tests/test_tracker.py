@@ -128,8 +128,11 @@ class TestConfig:
             TrackerConfig(match_score_thr=1.0)
 
     def test_bad_memo(self):
-        with pytest.raises(TrackerError):
-            TrackerConfig(memo_length_s=0.0)
+        for bad in (0.0, float("nan")):
+            with pytest.raises(TrackerError, match="memo_length_s"):
+                TrackerConfig(memo_length_s=bad)
+        # an endless memory keeps every track
+        assert TrackerConfig(memo_length_s=float("inf")).memo_length_s == float("inf")
 
 
 class TestMatchFrame:
@@ -248,6 +251,14 @@ class TestTrackSequence:
         asm = _model()
         with pytest.raises(TrackerError):
             track_sequence([(1.0, []), (0.5, [])], asm, TrackerConfig(), H, W)
+
+    @pytest.mark.parametrize("frame_id", [0, 2])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected_naming_the_frame(self, frame_id, bad):
+        frames = [(f.time_s, f.detections) for f in generate(_scene(seed=41))]
+        frames[frame_id] = (bad, frames[frame_id][1])
+        with pytest.raises(TrackerError, match=f"frame {frame_id}: time_s .* not finite"):
+            track_sequence(frames, _model(), TrackerConfig(), H, W)
 
     def test_tracks_clean_linear_scene(self):
         """With a trained model and near-clean detections each object

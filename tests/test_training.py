@@ -225,6 +225,7 @@ class TestTrainLoop:
         for name in runs[0]:
             assert np.array_equal(runs[0][name], runs[1][name]), name
 
+    @pytest.mark.kernel_bound
     def test_float64_training_pin(self):
         # sha256 of the loss history and of every parameter's float64
         # bytes after 12 steps of the desk model on benchmark sequences;
@@ -300,6 +301,14 @@ class TestTrainLoop:
             TrainConfig(epochs=0)
         with pytest.raises(TrainingError):
             TrainConfig(max_interval_s=0.0)
+        nan, inf = float("nan"), float("inf")
+        for key, bad in (("learning_rate", nan), ("learning_rate", inf),
+                         ("learning_rate", -0.1), ("weight_decay", nan),
+                         ("weight_decay", inf), ("max_interval_s", nan)):
+            with pytest.raises(TrainingError, match=key):
+                TrainConfig(**{key: bad})
+        # an unbounded interval pairs any two frames of a sequence
+        assert TrainConfig(max_interval_s=inf).max_interval_s == inf
 
     def test_weight_decay_is_decoupled(self):
         """With zero gradient contribution (no eligible pairs -> no step)
