@@ -164,7 +164,7 @@ class TestLinearGnReluEquivalence:
             inv = 1.0 / np.sqrt(xg.var(axis=2, keepdims=True) + 1e-5)
             expect = ((xg - mu) * inv).reshape(x.shape) * gamma + beta
             out = ref.group_norm(constant(x), constant(gamma), constant(beta),
-                                num_groups=groups)
+                                 num_groups=groups)
             assert np.array_equal(out.data, expect)
 
 
