@@ -8,13 +8,13 @@ from .config import RunConfig, load_config
 from .geometry import Box, NormalizedBox, iou, normalize_box
 from .model import AssocModel, ModelConfig
 from .simulator import ClassProfile, Detection, FrameSample, SceneConfig
-from .tracker import TrackerConfig, Tracklet, dynamic_threshold, track_sequence
+from .tracker import Tracker, TrackerConfig, Tracklet, dynamic_threshold, track_sequence
 from .training import TrainConfig, train
 
 __all__ = [
     "AssocModel", "Box", "ClassProfile", "Detection", "FrameSample",
     "ModelConfig", "NormalizedBox", "ParameterStore", "RunConfig",
-    "SceneConfig", "Tensor", "TrackerConfig", "Tracklet", "TrainConfig",
+    "SceneConfig", "Tensor", "Tracker", "TrackerConfig", "Tracklet", "TrainConfig",
     "dynamic_threshold", "grad_check", "iou", "load_checkpoint",
     "load_config", "normalize_box", "save_checkpoint", "track_sequence",
     "train",

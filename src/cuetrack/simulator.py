@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -360,14 +361,26 @@ def write_sequence(frames: list[FrameSample], path: str) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float: an int or a float, never a bool or a
+    string, which ``float`` and numpy would convert."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} {value!r} is not a number")
+    return float(value)
+
+
 def _finite_rows(values: list, width: int | None, what: str) -> np.ndarray:
-    """``values`` as a finite (N, width) array; ``width`` None takes any."""
+    """``values`` as a finite (N, width) array of JSON numbers; ``width``
+    None takes any."""
     try:
         arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError):
         arr = None
     if arr is None or arr.ndim != 2:
         raise ValueError(f"{what} must be numeric vectors of one width")
+    if not set(map(type, itertools.chain.from_iterable(values))) <= {int, float}:
+        for x in itertools.chain.from_iterable(values):
+            _number(x, f"{what} entry")
     if width is not None and arr.shape[1] != width:
         raise ValueError(f"{what} has width {arr.shape[1]}, expected {width}")
     if not np.isfinite(arr).all():
@@ -415,7 +428,7 @@ def _read_frame(rec, widths: dict[str, int], position: int) -> FrameSample:
         gt = [(g["id"], Box(*g["box"]), _class_of(g)) for g in gt]
     dets = []
     if raw:
-        scores = np.array([d["score"] for d in raw], dtype=np.float64)
+        scores = np.array([_number(d["score"], "score") for d in raw])
         if not ((scores >= 0.0) & (scores <= 1.0)).all():  # NaN fails too
             raise ValueError("detection score must lie in [0, 1]")
         sem, app = (_finite_rows([d[key] for d in raw], widths.get(key), key)
@@ -425,7 +438,7 @@ def _read_frame(rec, widths: dict[str, int], position: int) -> FrameSample:
         dets = [Detection(Box(*d["box"]), float(d["score"]), s, a,
                           _class_of(d))
                 for d, s, a in zip(raw, sem, app)]
-    time_s = float(rec["time_s"])
+    time_s = _number(rec["time_s"], "time_s")
     if not np.isfinite(time_s):
         raise ValueError("time_s must be finite")
     return FrameSample(frame_id=frame_id, time_s=time_s,

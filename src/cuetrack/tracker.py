@@ -120,63 +120,68 @@ def update_memo(memory: list[Tracklet], ids: list[int],
             if time_s - t.last_time_s <= cfg.memo_length_s]
 
 
-def _embed_and_match(detections: list[Detection], memory: list[Tracklet],
-                     asm: AssocModel, cfg: TrackerConfig, next_id: int,
-                     leaves: dict[str, ad.Tensor], image_h: float,
-                     image_w: float) -> tuple[np.ndarray | None, list[int], int]:
-    """One frame's fused descriptors (None for an empty frame), ids and
-    next free id. Descriptors that are not finite raise ``TrackerError``,
-    as ``match_frame`` does for the plan. Changes no state, so a frame
-    can run twice."""
-    fused = asm.embed(detections, image_h, image_w, leaves).data \
-        if detections else None
-    if fused is not None and not np.isfinite(fused).all():
-        raise TrackerError("fused descriptors are not finite")
-    return (fused, *match_frame(detections, memory, asm, cfg, next_id, fused,
-                                leaves))
+class Tracker:
+    """The online tracker's state: the memory, the next free id, the frame
+    index, the previous frame time and the parameters as constant leaves,
+    built before any frame. No tensor records a tape, and the Sinkhorn
+    steps run in the exp domain."""
 
+    def __init__(self, asm: AssocModel, cfg: TrackerConfig, image_h: float,
+                 image_w: float):
+        self.asm, self.cfg, self.image_h, self.image_w = asm, cfg, image_h, image_w
+        self.memory: list[Tracklet] = []
+        self.next_id = self.frame_id = 0
+        self.prev_t: float | None = None
+        self.leaves = {name: ad.constant(arr, name)
+                       for name, arr in asm.store.entries.items()}
 
-def track_sequence(frames: list[tuple[float, list[Detection]]], asm: AssocModel,
-                   cfg: TrackerConfig,
-                   image_h: float, image_w: float) -> list[tuple]:
-    """Run the online loop; returns (frame, id, box, score, class) rows
-    in frame-major, id-minor order. Each frame's detections are embedded
-    once, for matching and for the memory. Tracking takes no gradient,
-    so the parameters enter as constant leaves: no tensor records a
-    tape, and the Sinkhorn steps run in the exp domain.
+    def _embed_and_match(self, detections: list[Detection]) -> tuple:
+        """One frame's fused descriptors (None for an empty frame), ids and
+        next free id. Descriptors that are not finite raise ``TrackerError``,
+        as ``match_frame`` does for the plan. Changes no state."""
+        fused = self.asm.embed(detections, self.image_h, self.image_w,
+                               self.leaves).data if detections else None
+        if fused is not None and not np.isfinite(fused).all():
+            raise TrackerError("fused descriptors are not finite")
+        return (fused, *match_frame(detections, self.memory, self.asm, self.cfg,
+                                    self.next_id, fused, self.leaves))
 
-    Each frame's fused descriptors and plan are checked for values that
-    are not finite, two checks in place of one per tensor. A frame that
-    fails, or whose attention logits do, is run again under
-    ``autodiff.checked()``, whose ``AutodiffError`` names the first op
-    that made the value; should the run pass, ``TrackerError`` names the
-    frame."""
-    memory: list[Tracklet] = []
-    next_id = 0
-    rows = []
-    prev_t = None
-    leaves = {name: ad.constant(arr, name)
-              for name, arr in asm.store.entries.items()}
-    for frame_id, (time_s, detections) in enumerate(frames):
+    def step(self, time_s: float, detections: list[Detection]) -> list[tuple]:
+        """Track one frame, embedding its detections once; returns its
+        (frame, id, box, score, class) rows in id order. A frame whose
+        fused descriptors or plan are not finite, or whose attention logits
+        are, is run again under ``autodiff.checked()``, whose
+        ``AutodiffError`` names the first op that made the value; should
+        the run pass, ``TrackerError`` names the frame. A frame that raises
+        leaves the tracker as it was."""
+        frame_id = self.frame_id
         if not math.isfinite(time_s):
             raise TrackerError(f"frame {frame_id}: time_s {time_s} is not finite")
-        if prev_t is not None and time_s <= prev_t:
+        if self.prev_t is not None and time_s <= self.prev_t:
             raise TrackerError("frames out of time order")
-        prev_t = time_s
-        args = (detections, memory, asm, cfg, next_id, leaves, image_h, image_w)
         try:
-            fused, ids, next_id = _embed_and_match(*args)
+            fused, ids, next_id = self._embed_and_match(detections)
         except (TrackerError, ad.AutodiffError) as exc:
             # the frame again, with every tensor checked: the
             # AutodiffError names the first op that made the value,
             # which the attention's own logits check may have met later
             with ad.checked():
-                _embed_and_match(*args)
+                self._embed_and_match(detections)
             raise TrackerError(f"frame {frame_id}: {exc}") from None
-        memory = update_memo(memory, ids, detections, time_s, cfg, fused)
-        for tid, det in sorted(zip(ids, detections), key=lambda p: p[0]):
-            rows.append((frame_id, tid, det.box, det.score, det.class_id))
-    return rows
+        self.memory = update_memo(self.memory, ids, detections, time_s,
+                                  self.cfg, fused)
+        self.next_id, self.frame_id, self.prev_t = next_id, frame_id + 1, time_s
+        return [(frame_id, tid, det.box, det.score, det.class_id)
+                for tid, det in sorted(zip(ids, detections), key=lambda p: p[0])]
+
+
+def track_sequence(frames: list[tuple[float, list[Detection]]], asm: AssocModel,
+                   cfg: TrackerConfig, image_h: float, image_w: float) -> list[tuple]:
+    """``Tracker.step`` over ``frames``, pulling each frame once the last is
+    tracked: (frame, id, box, score, class) rows, frame-major, id-minor."""
+    tracker = Tracker(asm, cfg, image_h, image_w)
+    return [row for time_s, detections in frames
+            for row in tracker.step(time_s, detections)]
 
 
 _RESULT_COLUMNS = ("frame", "id", "x_min", "y_min", "x_max", "y_max",

@@ -5,11 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cuetrack import heads
+from cuetrack import heads, matching, stog
 from cuetrack.autodiff import constant, load_checkpoint, save_checkpoint
 from cuetrack.geometry import Box
 from cuetrack.model import AssocModel, ModelConfig, ModelError, paper_preset
-from cuetrack.simulator import Detection
+from cuetrack.simulator import (ClassProfile, Detection, SceneConfig,
+                                generate_dataset)
+from cuetrack.tracker import TrackerConfig, track_sequence
+from cuetrack.training import TrainConfig, train
 
 H, W = 600.0, 800.0
 
@@ -139,6 +142,43 @@ class TestForwardPair:
         asm = AssocModel(_cfg())
         lp = asm.forward_pair(_dets(1), _dets(1, seed=1), H, W)
         assert lp.data.shape == (2, 2)
+
+
+class TestNoTemporal:
+    """``use_temporal=False``: the pair plan skips ``temporal_encode``."""
+
+    def test_plan_is_the_pipeline_without_temporal_encode(self):
+        asm = AssocModel(_cfg(use_temporal=False))
+        leaves = asm.store.leaves()
+        key = asm.embed(_dets(3), H, W, leaves)
+        ref = asm.embed(_dets(4, seed=1), H, W, leaves)
+        key_out, ref_out = stog.stog_forward(key, ref, asm.cfg, leaves)
+        scores = matching.score_matrix(key_out, ref_out)
+        aug = matching.augment_dustbin(scores, leaves["dustbin"])
+        mu, nu = matching.uniform_dustbin_marginals(3, 4)
+        want = matching.sinkhorn_log(aug, mu, nu, asm.cfg.sinkhorn_iters).data
+        assert asm.pair_log_plan(key, ref, leaves).data.tobytes() == want.tobytes()
+        # the same parameters with the encoding give another plan
+        temporal = AssocModel(_cfg(), store=asm.store)
+        assert temporal.pair_log_plan(key, ref, leaves).data.tobytes() != \
+            want.tobytes()
+
+    def test_trains_one_step_and_tracks(self):
+        scene = SceneConfig(duration_s=5.0, fps=2.0,
+                            profiles=(ClassProfile(0, "linear", 25.0),),
+                            objects_per_class=3, semantic_dim=16,
+                            appearance_dim=16, seed=0)
+        data = generate_dataset(scene, 4, seed=7)
+        asm = AssocModel(_cfg(use_temporal=False))
+        before = {n: a.copy() for n, a in asm.store.entries.items()}
+        history = train(data, TrainConfig(epochs=1, batch_pairs=4), asm, H, W)
+        assert len(history) == 1 and np.isfinite(history[0][2])
+        assert all(np.isfinite(a).all() for a in asm.store.entries.values())
+        assert any(not np.array_equal(a, before[n])
+                   for n, a in asm.store.entries.items())
+        rows = track_sequence([(f.time_s, f.detections) for f in data[0]],
+                              asm, TrackerConfig(), H, W)
+        assert len(rows) == sum(len(f.detections) for f in data[0]) > 0
 
 
 class TestCheckpointReload:

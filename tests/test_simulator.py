@@ -5,6 +5,7 @@ False-positive and drop counts are checked against their analytic
 expectations (Poisson and Bernoulli means) with Monte-Carlo tolerances.
 """
 import hashlib
+import json
 import math
 import struct
 
@@ -392,6 +393,45 @@ class TestSerialization:
         with open(path, "a") as f:
             f.write('{"frame": 3, "time_s": 9.0, "detections": []}\n')
         assert read_sequence(path)[3].gt is None
+
+    @pytest.mark.parametrize("case, message", [
+        ("time_s string", "time_s '0.0' is not a number"),
+        ("time_s bool", "time_s False is not a number"),
+        ("score string", "score '0.9' is not a number"),
+        ("score bool", "score True is not a number"),
+        ("vector strings", "semantic_vec entry '0.5' is not a number"),
+        ("vector bool", "appearance_vec entry True is not a number"),
+        ("box strings", "box entry '10' is not a number"),
+        ("gt box bool", "box entry False is not a number"),
+    ])
+    def test_non_number_named_with_file_and_line(self, tmp_path, case, message):
+        """JSON numbers only: ``float`` and numpy would read a numeric
+        string or a bool as a number."""
+        path = tmp_path / "seq.jsonl"
+        write_sequence(generate(_clean_scene())[:2], str(path))
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[0])
+        det = rec["detections"][0]
+        if case == "time_s string":
+            rec["time_s"] = "0.0"
+        elif case == "time_s bool":
+            rec["time_s"] = False
+        elif case == "score string":
+            det["score"] = "0.9"
+        elif case == "score bool":
+            det["score"] = True
+        elif case == "vector strings":
+            det["semantic_vec"] = ["0.5"] * len(det["semantic_vec"])
+        elif case == "vector bool":
+            det["appearance_vec"][0] = True
+        elif case == "box strings":
+            det["box"] = ["10", "20", "30", "40"]
+        elif case == "gt box bool":
+            rec["gt"][0]["box"][0] = False
+        path.write_text("\n".join([json.dumps(rec), *lines[1:]]) + "\n")
+        with pytest.raises(SimulatorError) as err:
+            read_sequence(str(path))
+        assert str(err.value) == f"{path}:1: {message}"
 
     def test_dataset_round_trip(self, tmp_path):
         seqs = generate_dataset(_clean_scene(), 3, seed=9)

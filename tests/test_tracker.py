@@ -1,6 +1,7 @@
 """Online tracking: threshold rule, greedy plan resolution, memory
-expiry and the results CSV round trip."""
+expiry, the per-frame ``Tracker.step`` and the results CSV round trip."""
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from cuetrack.model import AssocModel, ModelConfig
 from cuetrack.simulator import (ClassProfile, Detection, FrameSample,
                                 NoiseConfig, SceneConfig, generate,
                                 generate_dataset, write_dataset)
-from cuetrack.tracker import (TrackerConfig, TrackerError, Tracklet,
+from cuetrack.tracker import (Tracker, TrackerConfig, TrackerError, Tracklet,
                               dynamic_threshold, match_frame, read_results,
                               track_sequence, update_memo, write_results)
 from cuetrack.training import TrainConfig, TrainingError, train
@@ -103,6 +104,15 @@ def _reference_track(frames, asm, cfg):
                   if time_s - v[0] <= cfg.memo_length_s}
         for tid, det in sorted(zip(ids, dets), key=lambda p: p[0]):
             rows.append((frame_id, tid, det.box, det.score, det.class_id))
+    return rows
+
+
+def _step_rows(frames, asm, cfg, tracker=None):
+    """The rows of one ``Tracker.step`` call per frame."""
+    tracker = tracker or Tracker(asm, cfg, H, W)
+    rows = []
+    for time_s, dets in frames:
+        rows += tracker.step(time_s, dets)
     return rows
 
 
@@ -290,15 +300,20 @@ class TestTrackSequence:
 class TestTrackSequenceEquivalence:
     def test_matches_reference_loop(self):
         asm = _trained_model()
-        # the short memory makes false-positive tracks expire mid-sequence
-        for seed, cfg in ((41, TrackerConfig()),
-                          (42, TrackerConfig(memo_length_s=1.0))):
-            frames = [(f.time_s, f.detections)
+        # the short memory makes false-positive tracks expire mid-sequence;
+        # the last case's gap outlasts the memory, so every track expires
+        for seed, cfg, gap in ((41, TrackerConfig(), 0.0),
+                               (42, TrackerConfig(memo_length_s=1.0), 0.0),
+                               (43, TrackerConfig(memo_length_s=1.0), 1.5)):
+            frames = [(f.time_s + gap * (f.frame_id >= 10), f.detections)
                       for f in generate(_scene(seed=seed,
                                                noise=NoiseConfig(fp_rate=0.5)))]
             frames[3] = (frames[3][0], [])  # an empty frame in the stream
-            assert track_sequence(frames, asm, cfg, H, W) == \
-                _reference_track(frames, asm, cfg)
+            frames[10] = (frames[10][0], [])
+            rows = track_sequence(frames, asm, cfg, H, W)
+            assert rows == _reference_track(frames, asm, cfg)
+            # a loop of steps gives the same rows, byte for byte
+            assert pickle.dumps(_step_rows(frames, asm, cfg)) == pickle.dumps(rows)
 
     def test_heads_run_once_per_frame(self, monkeypatch):
         calls = []
@@ -314,6 +329,58 @@ class TestTrackSequenceEquivalence:
         track_sequence(frames, _model(sinkhorn_iters=100), TrackerConfig(), H, W)
         with_dets = sum(1 for _, dets in frames if dets)
         assert len(calls) == 3 * with_dets
+
+
+class TestStep:
+    def test_frames_are_pulled_one_step_at_a_time(self, monkeypatch):
+        events = []
+        step = Tracker.step
+
+        def spy(self, time_s, detections):
+            rows = step(self, time_s, detections)
+            events.append(("step", self.frame_id - 1))
+            return rows
+
+        def frames():
+            for k, f in enumerate(generate(_scene(seed=41))[:6]):
+                events.append(("pull", k))
+                yield f.time_s, f.detections
+
+        monkeypatch.setattr(Tracker, "step", spy)
+        track_sequence(frames(), _model(), TrackerConfig(), H, W)
+        assert events == [(kind, k) for k in range(6) for kind in ("pull", "step")]
+
+    @pytest.mark.parametrize("fault", ["time order", "nan time", "poisoned frame"])
+    def test_failed_step_leaves_the_tracker_as_it_was(self, fault):
+        """After a step raises, the next valid step gives the rows of a
+        tracker that never saw the bad frame."""
+        asm, cfg = _model(), TrackerConfig()
+        frames = _busy_frames()
+        time_s, dets = frames[3]
+        if fault == "time order":
+            bad = (frames[1][0], dets)
+        elif fault == "nan time":
+            bad = (float("nan"), dets)
+        else:
+            # finite cue values whose products overflow in the heads; at the
+            # next frame's time, so a kept frame time would reject that frame
+            bad = (time_s, [dataclasses.replace(
+                d, appearance_vec=np.full_like(d.appearance_vec, 1e308))
+                for d in dets])
+
+        def state(tr):
+            return pickle.dumps((tr.next_id, tr.frame_id, tr.prev_t,
+                                 [vars(t) for t in tr.memory]))
+
+        tracker = Tracker(asm, cfg, H, W)
+        rows = _step_rows(frames[:3], asm, cfg, tracker)
+        before = state(tracker)
+        with np.errstate(all="ignore"), \
+                pytest.raises((TrackerError, AutodiffError)):
+            tracker.step(*bad)
+        assert state(tracker) == before
+        rows += _step_rows(frames[3:], asm, cfg, tracker)
+        assert pickle.dumps(rows) == pickle.dumps(_step_rows(frames, asm, cfg))
 
 
 def _parents_of_built_tensors(monkeypatch) -> list[tuple]:
