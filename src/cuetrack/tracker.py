@@ -138,7 +138,7 @@ class Tracker:
     def _embed_and_match(self, detections: list[Detection]) -> tuple:
         """One frame's fused descriptors (None for an empty frame), ids and
         next free id. Descriptors that are not finite raise ``TrackerError``,
-        as ``match_frame`` does for the plan. Changes no state."""
+        as ``match_frame`` does for the plan. Changes no state: a frame can run twice."""
         fused = self.asm.embed(detections, self.image_h, self.image_w,
                                self.leaves).data if detections else None
         if fused is not None and not np.isfinite(fused).all():
